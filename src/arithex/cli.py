@@ -168,6 +168,7 @@ def cmd_oracle(args) -> int:
         hint = "" if args.deep else " (use --deep for n = 6)"
         print(f"error: --n must be within 1..{limit}{hint}", file=sys.stderr)
         return 2
+    oracle.check_classifiable(args.ops)
     family = oracle.generate(args.n, ops=args.ops, limit=limit)
     oracle.classify_endops(family)
     aeset = family.full_set()
@@ -225,9 +226,17 @@ def cmd_verify(args) -> int:
 # -- solve --------------------------------------------------------------------
 
 
+def _rational(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        hint = "; write 'inf' for infinity" if option == "--target" else ""
+        raise ValueError(f"{option} value {text.strip()!r} divides by zero{hint}") from None
+
+
 def cmd_solve(args) -> int:
-    numbers = [Fraction(part) for part in args.numbers.split(",") if part.strip()]
-    target = INF if args.target.strip() in ("inf", "oo") else Fraction(args.target)
+    numbers = [_rational(part, "--numbers") for part in args.numbers.split(",") if part.strip()]
+    target = INF if args.target.strip() in ("inf", "oo") else _rational(args.target, "--target")
     query = solver.make_query(
         numbers, target, want_all=args.all, max_solutions=args.max_solutions
     )

@@ -19,6 +19,12 @@ recurrences over multisets of smaller categories:
 
 Monic second-type pools are always half the second-type count; the halving
 asserts evenness first.  All arithmetic is unbounded.
+
+Each pool's count at size k is taken once, when level k is complete.  The
+multiset counts over the seven pools that feed ``+`` and ``*`` cells come
+from one ``EulerSeries`` per pool, extended once per level, so a table to
+n_max costs O(n_max^2) integer steps per pool and enumerates no partition.
+Only ``worked_breakdown`` lists partitions, for the one cell it traces.
 """
 
 from __future__ import annotations
@@ -28,9 +34,10 @@ import io
 from dataclasses import dataclass
 from typing import Iterable
 
-from .partitions import (
+from .partitions import (  # count_weighings is re-exported
+    EulerSeries,
     count_weighings,
-    count_weighings_nontrivial,
+    from_prefix,
     weighing_terms,
 )
 
@@ -45,6 +52,12 @@ _CELL_ORDER = (
     ("*", 1), ("*", 2), ("*", 3),
     ("/", 1), ("/", 2), ("/", 3),
 )
+
+
+# Pools are named by type and ending operators: md = * or /, pm = + or -,
+# p = +, pt = + or *, pmt = + - or *, ptd = + * or /; a monic pool holds
+# half the second-type classes.  These seven are counted as multisets.
+_SERIES = ("first_md", "third_md", "any_md", "monic_md", "monic_pm", "first_p", "third_pm")
 
 
 class OddSecondTypeCount(RuntimeError):
@@ -78,6 +91,10 @@ class CategoryTable:
         self.cells = {
             n: {op: {1: 0, 2: 0, 3: 0} for op in OPS} for n in range(n_max + 1)
         }
+        # per-level counts of the pools only convolved, and one series per
+        # pool counted as multisets; both filled by class_counts
+        self.pools: dict = {}
+        self.series = {name: EulerSeries() for name in _SERIES}
 
     def cell(self, n: int, op: str, type_: int) -> int:
         return self.cells[n][op][type_]
@@ -155,17 +172,21 @@ def class_counts(n_max: int) -> CategoryTable:
     """Fill the table for levels 0..n_max.
 
     Level 1 holds the bare variable (a first-type *-ending class); each
-    higher level is computed cell by cell in dependency order.
+    higher level is computed cell by cell in dependency order, then closed
+    into the pools the next levels draw from.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     table = CategoryTable(n_max)
     table.cells[1]["*"][1] = 1
+    _close_level(table, 0)
+    _close_level(table, 1)
     for n in range(2, n_max + 1):
         for op, type_ in _CELL_ORDER:
             table.cells[n][op][type_] = sum(
                 t.value for t in _cell_terms(table, n, op, type_)
             )
+        _close_level(table, n)
     return table
 
 
@@ -174,41 +195,88 @@ def total_nonisomorphic(n: int) -> int:
 
 
 def worked_breakdown(table: CategoryTable, n: int, op: str, type_: int) -> Breakdown:
-    """The summand decomposition behind one cell of a filled table."""
-    terms = tuple(_cell_terms(table, n, op, type_))
+    """The summand decomposition behind one cell of a filled table.
+
+    Every multiset count here is summed over partitions, and those of two
+    or more classes are listed per partition, so the total cross-checks the
+    partition path against the Euler series that filled the table.
+    """
+    terms = tuple(_cell_terms(table, n, op, type_, by_partition=True))
     total = sum(t.value for t in terms)
-    assert total == table.cell(n, op, type_), "breakdown diverged from table"
+    if total != table.cell(n, op, type_):
+        raise RuntimeError(
+            f"breakdown of ({op}, {TYPE_NAMES[type_]}, {n}) sums to {total}, "
+            f"table holds {table.cell(n, op, type_)}"
+        )
     return Breakdown(n, op, type_, terms, total)
 
 
-def _partition_terms(counts, n: int) -> list:
-    return [
-        Term("partition", partition, factors, value)
-        for partition, factors, value in weighing_terms(counts, n, nontrivial=True)
-    ]
+def _close_level(table: CategoryTable, k: int) -> None:
+    """Extend every series by the completed level k; record the other pools."""
+    cls, monic = table.cls, table.monic_second
+    if k:
+        series = table.series
+        series["first_md"].extend(cls((1,), "*/", k))
+        series["third_md"].extend(cls((3,), "*/", k))
+        series["any_md"].extend(cls((1, 2, 3), "*/", k))
+        series["monic_md"].extend(monic("*/", k))
+        series["monic_pm"].extend(monic("+-", k))
+        series["first_p"].extend(cls((1,), "+", k))
+        series["third_pm"].extend(cls((3,), "+-", k))
+    counts = {
+        "first_pt": cls((1,), "+*", k),
+        "second_pmt": cls((2,), "+-*", k),
+        "third_pmt": cls((3,), "+-*", k),
+        "monic_pmt": monic("+-*", k),
+        "first_ptd": cls((1,), "+*/", k),
+        "third_ptd": cls((3,), "+*/", k),
+        "any_ptd": cls((1, 2, 3), "+*/", k),
+    }
+    for name, count in counts.items():
+        table.pools.setdefault(name, []).append(count)
 
 
-def _cell_terms(table: CategoryTable, n: int, op: str, type_: int) -> list:
-    first_md = lambda k: table.cls((1,), ("*", "/"), k)
-    third_md = lambda k: table.cls((3,), ("*", "/"), k)
-    any_md = lambda k: table.cls((1, 2, 3), ("*", "/"), k)
-    monic_md = lambda k: table.monic_second(("*", "/"), k)
-    monic_pm = lambda k: table.monic_second(("+", "-"), k)
-    first_p = lambda k: table.cls((1,), ("+",), k)
-    third_pm = lambda k: table.cls((3,), ("+", "-"), k)
-    first_pt = lambda k: table.cls((1,), ("+", "*"), k)
+def _cell_terms(
+    table: CategoryTable, n: int, op: str, type_: int, by_partition: bool = False
+) -> list:
+    pool, series = table.pools, table.series
+
+    def partition_terms(name, total, nontrivial=False):
+        return weighing_terms(from_prefix(series[name].counts[1:]), total, nontrivial)
+
+    def weighings(name, k):
+        # multisets of pool classes totalling k
+        if by_partition:
+            return sum(value for _, _, value in partition_terms(name, k))
+        return series[name].weighings[k]
+
+    def nontrivial(name):
+        # multisets of two or more pool classes totalling n
+        if by_partition:
+            return sum(value for _, _, value in partition_terms(name, n, True))
+        return series[name].nontrivial(n)
+
+    def several(name):
+        if by_partition:
+            return [
+                Term("partition", partition, factors, value)
+                for partition, factors, value in partition_terms(name, n, True)
+            ]
+        return [Term("series", name, (), nontrivial(name))]
+
+    first_pt = pool["first_pt"]
 
     if op == "+":
         if type_ == 1:
-            return _partition_terms(first_md, n)
+            return several("first_md")
         if type_ == 3:
-            terms = _partition_terms(third_md, n)
+            terms = several("third_md")
             for k in range(1, n // 2 + 1):
-                a = count_weighings(monic_md, k)
-                b = count_weighings(third_md, n - 2 * k)
+                a = weighings("monic_md", k)
+                b = weighings("third_md", n - 2 * k)
                 terms.append(Term("convolution", k, (a, b), a * b))
             return terms
-        every = count_weighings_nontrivial(any_md, n)
+        every = nontrivial("any_md")
         f = table.cell(n, "+", 1)
         c = table.cell(n, "+", 3)
         return [Term("difference", None, (every, f, c), every - f - c)]
@@ -219,37 +287,33 @@ def _cell_terms(table: CategoryTable, n: int, op: str, type_: int) -> list:
         if type_ == 3:
             terms = []
             for k in range(1, n // 2 + 1):
-                a = table.cls((3,), ("+", "*", "/"), n - 2 * k)
-                b = table.cls((1,), ("+", "*", "/"), k)
+                a = pool["third_ptd"][n - 2 * k]
+                b = pool["first_ptd"][k]
                 terms.append(Term("convolution", k, (a, b), a * b))
             return terms
-        every = sum(
-            table.cls((1, 2, 3), ("+", "*", "/"), k)
-            * table.cls((1,), ("+", "*", "/"), n - k)
-            for k in range(1, n)
-        )
+        every = sum(pool["any_ptd"][k] * pool["first_ptd"][n - k] for k in range(1, n))
         c = table.cell(n, "-", 3)
         return [Term("difference", None, (every, c), every - c)]
 
     if op == "*":
         if type_ == 1:
-            terms = _partition_terms(first_p, n)
+            terms = several("first_p")
             for k in range(n):
-                w = count_weighings(first_p, k)
+                w = weighings("first_p", k)
                 terms.append(Term("omega", k, (w,), w))
             return terms
         if type_ == 2:
-            w = count_weighings_nontrivial(monic_pm, n)
+            w = nontrivial("monic_pm")
             terms = [Term("scaled", None, (2, w), 2 * w)]
             for k in range(1, n):
-                a = 2 * count_weighings(monic_pm, k)
-                b = first_pt(n - k)
+                a = 2 * weighings("monic_pm", k)
+                b = first_pt[n - k]
                 terms.append(Term("convolution", k, (a, b), a * b))
             return terms
-        terms = _partition_terms(third_pm, n)
+        terms = several("third_pm")
         for k in range(1, n):
-            a = count_weighings(third_pm, k)
-            b = first_pt(n - k) + table.monic_second(("+", "-", "*"), n - k)
+            a = weighings("third_pm", k)
+            b = first_pt[n - k] + pool["monic_pmt"][n - k]
             terms.append(Term("convolution", k, (a, b), a * b))
         return terms
 
@@ -257,18 +321,14 @@ def _cell_terms(table: CategoryTable, n: int, op: str, type_: int) -> list:
         terms = []
         for k in range(1, n):
             if type_ == 1:
-                a = first_pt(k)
-                b = first_pt(n - k)
+                a = first_pt[k]
+                b = first_pt[n - k]
             elif type_ == 2:
-                a = table.cls((2,), ("+", "-", "*"), n - k)
-                b = 2 * first_pt(k) + table.monic_second(("+", "-", "*"), k)
+                a = pool["second_pmt"][n - k]
+                b = 2 * first_pt[k] + pool["monic_pmt"][k]
             else:
-                a = table.cls((3,), ("+", "-", "*"), n - k)
-                b = (
-                    2 * first_pt(k)
-                    + table.cls((2,), ("+", "-", "*"), k)
-                    + table.cls((3,), ("+", "-", "*"), k)
-                )
+                a = pool["third_pmt"][n - k]
+                b = 2 * first_pt[k] + pool["second_pmt"][k] + pool["third_pmt"][k]
             terms.append(Term("convolution", k, (a, b), a * b))
         return terms
 

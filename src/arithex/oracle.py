@@ -36,6 +36,10 @@ class LimitExceeded(ValueError):
     """Requested size beyond the exhaustive-generation guard."""
 
 
+class UnsupportedOps(ValueError):
+    """An operator fragment the ending-operator rules do not classify."""
+
+
 class ClassificationEmpty(RuntimeError):
     """No ending-operator rule fired for a generated expression."""
 
@@ -231,6 +235,19 @@ def is_first_type(form: CanonForm, family: Family) -> bool:
     return canon.negate(form) not in family.sets[form.varset].entries
 
 
+def check_classifiable(ops: str) -> None:
+    """Reject fragments with - but no +, or / but no *.
+
+    The ending rules read a - b - c only as a - (b + c), and a / b / c only
+    as a / (b * c), so without those operators some expressions match no
+    rule.
+    """
+    if "-" in ops and "+" not in ops or "/" in ops and "*" not in ops:
+        raise UnsupportedOps(
+            f"ops {ops!r} cannot be classified: '-' needs '+' and '/' needs '*'"
+        )
+
+
 def classify_endops(family: Family) -> None:
     """Assign the ending operator to every entry of every subset, bottom-up.
 
@@ -361,6 +378,7 @@ def verify(
 ) -> VerifyReport:
     """Cross-check the generated universe against the engine and the
     published values; every mismatch becomes a failed check in the report."""
+    check_classifiable(ops)
     report = VerifyReport()
     rng = random.Random(seed)
     family = generate(n_max, ops=ops)

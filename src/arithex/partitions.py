@@ -3,13 +3,19 @@
 A partition is kept in compact multiplicity form: a tuple of
 ``(size, multiplicity)`` pairs with strictly increasing sizes, e.g.
 ``((1, 3), (2, 1))`` for 1+1+1+2.  Partitions of each n are generated in
-lexicographic order of their ascending part lists and memoized, since the
-counting recurrences revisit them constantly.
+lexicographic order of their ascending part lists and memoized; only
+traced breakdowns (``weighing_terms``) and the tests enumerate them.
 
 The colored-weights count answers: given ``counts(k)`` colors of weight k
 for every k >= 1, in how many ways can multisets of colored weights total
 ``n`` (repetition allowed)?  Summing over partitions, each part size k
-used m times contributes multiset_coeff(counts(k), m) color choices.
+used m times contributes multiset_coeff(counts(k), m) color choices.  The
+same number is the coefficient of x^n in prod_k (1 - x^k)^(-counts(k)),
+which the Euler transform yields in O(n^2) integer steps without any
+partition (``EulerSeries``; Sloane & Plouffe, *The Encyclopedia of Integer
+Sequences*, 1995):
+
+    b_0 = 1,   b_n = (1/n) sum_{k=1..n} c_k b_(n-k),   c_k = sum_{d | k} d counts(d).
 """
 
 from __future__ import annotations
@@ -79,25 +85,51 @@ def multiset_coeff(n: int, k: int) -> int:
     return comb(n + k - 1, k)
 
 
+class EulerSeries:
+    """Multiset counts of a count vector fixed one weight at a time.
+
+    Once ``extend`` has fixed counts(1..m), ``weighings[t]`` equals
+    ``count_weighings(counts, t)`` for every t <= m.
+    """
+
+    def __init__(self):
+        self.counts = [0]       # counts[k] for k = 1..m; index 0 unused
+        self.weighings = [1]    # b_0..b_m
+        self._c = [0]           # c_1..c_m, the divisor sums
+
+    def nontrivial(self, n: int) -> int:
+        """Multisets of two or more weights totalling n: b_n minus the
+        single-weight term counts(n), so n may be the next, unfixed size."""
+        m = len(self.weighings) - 1
+        if not 1 <= n <= m + 1:
+            raise ValueError(f"size {n} outside 1..{m + 1}")
+        if n <= m:
+            return self.weighings[n] - self.counts[n]
+        # c_n b_0 without the term n*counts(n), then c_k b_(n-k) for k < n
+        total = self._proper_divisor_sum(n)
+        total += sum(c * b for c, b in zip(self._c[1:], reversed(self.weighings[1:])))
+        return total // n
+
+    def extend(self, count: int) -> None:
+        """Fix counts(n) = count for the next size n."""
+        n = len(self.weighings)
+        value = self.nontrivial(n) + count
+        self._c.append(self._proper_divisor_sum(n) + n * count)
+        self.counts.append(count)
+        self.weighings.append(value)
+
+    def _proper_divisor_sum(self, n: int) -> int:
+        return sum(d * self.counts[d] for d in range(1, n // 2 + 1) if n % d == 0)
+
+
 def count_weighings(counts: CountVector, total: int) -> int:
     """Multisets of colored weights summing to ``total``; 1 for total = 0."""
-    result = 0
-    for partition in all_partitions(total):
-        product = 1
-        for size, mult in partition:
-            product *= multiset_coeff(counts(size), mult)
-            if not product:
-                break
-        result += product
-    return result
-
-
-def count_weighings_nontrivial(counts: CountVector, total: int) -> int:
-    """Same as count_weighings but excluding the single-weight multiset,
-    whose contribution is exactly counts(total)."""
-    if total < 1:
-        raise ValueError("total must be positive")
-    return count_weighings(counts, total) - counts(total)
+    if total < 0:
+        raise ValueError("total must be nonnegative")
+    series = EulerSeries()
+    for k in range(1, total + 1):
+        series.extend(counts(k))
+    return series.weighings[total]
 
 
 def weighing_terms(counts: CountVector, total: int, nontrivial: bool = False):

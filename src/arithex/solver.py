@@ -67,6 +67,8 @@ def make_query(
     if not 1 <= len(nums) <= MAX_NUMBERS:
         raise TooManyNumbers(f"need 1..{MAX_NUMBERS} numbers, got {len(nums)}")
     tgt = INF if target is INF else Fraction(target)
+    if max_solutions is not None and max_solutions < 0:
+        raise ValueError(f"max_solutions must be nonnegative, got {max_solutions}")
     return PuzzleQuery(nums, tgt, want_all, max_solutions)
 
 
@@ -90,6 +92,8 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
     solutions: list = []
     seen_classes: dict = {}
     for form in hits:
+        if query.max_solutions is not None and len(solutions) >= query.max_solutions:
+            break
         key = canon.orbit_key(form)
         if not query.want_all and key in seen_classes:
             continue
@@ -106,8 +110,6 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
                 extension=tree_value is UNDEFINED,
             )
         )
-        if query.max_solutions is not None and len(solutions) >= query.max_solutions:
-            break
     return solutions
 
 

@@ -1,6 +1,7 @@
 import io
+import itertools
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import jsonschema
 import pytest
 
 from arithex.cli import main
+from arithex.counting import class_counts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,6 +57,19 @@ def test_count_csv():
     assert code == 0
     assert out.splitlines()[0] == "n,op,type,count"
     assert "3,minus,second,6" in out
+
+
+def test_count_to_sixty():
+    # every level's monic pools halve an even second-type count, or the
+    # fill raises OddSecondTypeCount
+    code, out = run_cli("count", "--max-n", "60", "--format", "json")
+    assert code == 0
+    levels = json.loads(out)
+    assert len(levels) == 60
+    assert levels[:17] == class_counts(17).to_json_levels()
+    for level in levels:
+        plus, minus, times, div = (level[name]["second"] for name in ("plus", "minus", "times", "div"))
+        assert (plus + minus) % 2 == times % 2 == div % 2 == 0, level["n"]
 
 
 def test_count_breakdown_text():
@@ -116,6 +131,44 @@ def test_verify_exit_code():
 def test_verify_series_parallel():
     code, out = run_cli("verify", "--max-n", "4", "--ops", "+*")
     assert code == 0
+
+
+@pytest.mark.parametrize("ops", ["".join(c) for r in range(1, 5) for c in itertools.combinations("+-*/", r)])
+def test_ops_fragments_never_mismatch(ops):
+    # fragments with - but no +, or / but no *, are unsupported input: exit 2
+    unsupported = ("-" in ops and "+" not in ops) or ("/" in ops and "*" not in ops)
+    runs = [("verify", "--max-n", "4", f"--ops={ops}")]
+    runs += [("oracle", "--n", str(n), f"--ops={ops}") for n in range(1, 5)]
+    for argv in runs:
+        with redirect_stderr(io.StringIO()) as err:
+            code, _ = run_cli(*argv)
+        assert code == (2 if unsupported else 0), (argv, err.getvalue())
+        if unsupported:
+            assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--numbers", "1,2,3", "--target", "1/0"),
+        ("--numbers", "1,2,3", "--target", "0/0"),
+        ("--numbers", "1,0/0,3", "--target", "6"),
+        ("--numbers", "1,2,3", "--target", "6", "--max-solutions", "-1"),
+    ],
+)
+def test_solve_bad_input_exit_code(argv):
+    with redirect_stderr(io.StringIO()) as err:
+        code, out = run_cli("solve", *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_solve_max_solutions_zero():
+    code, out = run_cli("solve", "--numbers", "1,5,6,7", "--target", "21", "--max-solutions", "0")
+    assert code == 0
+    assert "no solutions" in out and "classes: 0" in out
 
 
 def test_solve_puzzle_21():

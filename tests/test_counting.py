@@ -102,6 +102,15 @@ def test_breakdown_second_type_times_at_six(table17):
     assert nonzero == [(2, 6), (6, 5), (30, 2), (192, 1)]
 
 
+def test_partition_breakdowns_match_euler_fill():
+    # worked_breakdown sums each cell over partitions; the fill used the series
+    table = class_counts(25)
+    for n in range(1, 26):
+        for op in OPS:
+            for t in (1, 2, 3):
+                assert worked_breakdown(table, n, op, t).total == table.cell(n, op, t)
+
+
 def test_breakdown_first_type_plus_at_two(table17):
     bd = worked_breakdown(table17, 2, "+", 1)
     assert [(t.key, t.value) for t in bd.terms] == [(((1, 2),), 1)]

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from arithex.partitions import (
+    EulerSeries,
     all_partitions,
     count_weighings,
-    count_weighings_nontrivial,
     from_prefix,
     multiset_coeff,
     partition_count,
@@ -85,15 +87,28 @@ def test_multiset_coeff():
     assert multiset_coeff(2, 3) == 4
 
 
+def series_of(values) -> EulerSeries:
+    series = EulerSeries()
+    for value in values:
+        series.extend(value)
+    return series
+
+
 def test_count_weighings_worked_example():
     counts = from_prefix([2, 3, 0, 1])
     assert count_weighings(counts, 4) == 21
-    assert count_weighings_nontrivial(counts, 4) == 20
+    assert series_of([2, 3, 0]).nontrivial(4) == 20
+    assert series_of([2, 3, 0, 1]).nontrivial(4) == 20
 
 
 def test_count_weighings_zero_total():
     assert count_weighings(from_prefix([]), 0) == 1
     assert count_weighings(from_prefix([5, 5]), 0) == 1
+
+
+def test_count_weighings_negative_total():
+    with pytest.raises(ValueError):
+        count_weighings(from_prefix([1]), -1)
 
 
 def test_count_weighings_empty_counts():
@@ -109,18 +124,18 @@ def test_count_weighings_single_unit_weight():
 
 
 def test_nontrivial_at_one():
-    assert count_weighings_nontrivial(from_prefix([9]), 1) == 0
+    assert series_of([]).nontrivial(1) == 0
+    assert series_of([9]).nontrivial(1) == 0
     with pytest.raises(ValueError):
-        count_weighings_nontrivial(from_prefix([1]), 0)
+        series_of([1]).nontrivial(0)
 
 
 def test_nontrivial_identity():
-    counts = from_prefix([3, 1, 4, 1, 5])
+    values = [3, 1, 4, 1, 5]
+    counts = from_prefix(values)
+    series = series_of(values + [0] * 3)
     for n in range(1, 9):
-        assert (
-            count_weighings_nontrivial(counts, n) + counts(n)
-            == count_weighings(counts, n)
-        )
+        assert series.nontrivial(n) + counts(n) == count_weighings(counts, n)
 
 
 def test_monotone_in_counts():
@@ -139,4 +154,33 @@ def test_weighing_terms_reconstruct_totals():
 def test_weighing_terms_class_counts_cross_check():
     # first-kind x/÷ class counts as weights: the nontrivial total at 6
     counts = from_prefix([1, 2, 6, 20, 77])
-    assert count_weighings_nontrivial(counts, 6) == 186
+    assert count_weighings(counts, 6) - counts(6) == 186
+    assert series_of([1, 2, 6, 20, 77]).nontrivial(6) == 186
+
+
+def test_euler_series_matches_partition_sums():
+    # vectors with zero runs, including an all-zero prefix and leading zeros
+    rng = random.Random(20260218)
+    vectors = [[0] * 20, [0, 0, 1], [1] * 20]
+    for _ in range(40):
+        size = rng.randint(1, 20)
+        vectors.append([rng.choice((0, 0, 1, 2, 3, rng.randint(0, 500))) for _ in range(size)])
+    for values in vectors:
+        counts = from_prefix(values)
+        series = EulerSeries()
+        for t in range(1, 21):
+            nontrivial = sum(v for _, _, v in weighing_terms(counts, t, nontrivial=True))
+            assert series.nontrivial(t) == nontrivial, (values, t)
+            series.extend(counts(t))
+            total = sum(v for _, _, v in weighing_terms(counts, t))
+            assert count_weighings(counts, t) == total == series.weighings[t], (values, t)
+            assert series.nontrivial(t) == nontrivial
+
+
+def test_euler_series_sizes():
+    series = EulerSeries()
+    series.extend(3)
+    with pytest.raises(ValueError):
+        series.nontrivial(3)
+    with pytest.raises(ValueError):
+        series.nontrivial(0)

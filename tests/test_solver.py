@@ -102,6 +102,9 @@ def test_infinite_target():
 def test_max_solutions(family4):
     sols = solve(make_query([1, 5, 6, 7], 21, want_all=True, max_solutions=1), family4)
     assert len(sols) == 1
+    assert solve(make_query([1, 5, 6, 7], 21, want_all=True, max_solutions=0), family4) == []
+    with pytest.raises(ValueError):
+        make_query([1, 5, 6, 7], 21, max_solutions=-1)
 
 
 def _all_trees(indices):
