@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .mpoly import ONE, MultiPoly, disjoint_factors
 from .projrat import EvalResult, UNDEFINED, p_div
@@ -135,10 +135,6 @@ def negate(f: CanonForm) -> CanonForm:
 
 def is_monic_form(f: CanonForm) -> bool:
     return f.num.is_monic()
-
-
-def variables(f: CanonForm) -> frozenset:
-    return f.varset
 
 
 # -- permutations -----------------------------------------------------------
@@ -264,13 +260,26 @@ def is_isomorphic(f: CanonForm, g: CanonForm) -> Optional[dict]:
     return None
 
 
+def orbit(f: CanonForm, perms: Optional[Iterable[Permutation]] = None) -> set:
+    """The isomorphism class of f: its distinct images under every
+    relabeling of {1..n}.
+
+    Two forms are isomorphic iff each lies in the other's orbit.  perms
+    defaults to all_perms(n); callers that take many orbits of one size
+    pass that list once.
+    """
+    n = _require_contiguous(f)
+    if perms is None:
+        perms = all_perms(n)
+    return {apply_perm(p, f) for p in perms}
+
+
 def orbit_key(f: CanonForm) -> str:
-    """Lexicographically least serialization over all relabelings of {1..n}.
+    """Lexicographically least serialization over the orbit of f.
 
     Equal keys iff the forms are isomorphic.
     """
-    n = _require_contiguous(f)
-    return min(form_str(apply_perm(p, f)) for p in all_perms(n))
+    return min(form_str(g) for g in orbit(f))
 
 
 def relabel_contiguous(f: CanonForm) -> tuple[CanonForm, dict]:

@@ -278,11 +278,8 @@ def cmd_classify(args) -> int:
     if n <= ORACLE_DEFAULT_MAX_N:
         family = oracle.generate(n)
         oracle.classify_endops(family)
-        entry = family.entry_of(work)
-        aeset = family.full_set(n)
-        orbits = oracle.compute_orbits(aeset, n)
-        oracle.classify_types(aeset, orbits)
-        endop, typeclass = entry.endop, entry.typeclass
+        endop = family.entry_of(work).endop
+        typeclass = oracle.classify_type(work, family.sets[work.varset].entries)
     iso = None
     if args.against:
         other = to_canon(parse_expr(args.against))

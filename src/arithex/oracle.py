@@ -7,10 +7,11 @@ computes isomorphism orbits, classifies representatives by ending operator
 and type, and cross-checks everything against the recurrence engine and
 the published reference values.
 
-Orbits of a full variable set are computed with a union-find over the
-adjacent-transposition generators: the generated set is closed under
-relabeling, so the components are exactly the isomorphism classes, and the
-least serialization inside a component equals the per-form orbit key.
+An isomorphism class is the set of relabelings of any one member, so the
+orbits of a full variable set are read off ``canon.orbit``: each form not
+yet placed starts a class whose members are its relabelings.  The
+generated set is closed under relabeling, so every member must be stored,
+and the least serialization over the members is the per-form orbit key.
 """
 
 from __future__ import annotations
@@ -164,22 +165,16 @@ class OrbitClass:
 
 
 class Orbits:
-    def __init__(self, parent: dict, classes: list, entries: dict):
-        self._parent = parent
-        self._entries = entries
+    def __init__(self, classes: list, rep_of: dict):
         self.classes = classes
+        self.rep_of = rep_of  # member form -> stored rep of its class
 
     def __len__(self) -> int:
         return len(self.classes)
 
     def find(self, form: CanonForm) -> CanonForm:
-        # canonicalize to the stored instance so identity checks are valid
-        entry = self._entries.get(form)
-        x = entry.form if entry is not None else form
-        parent = self._parent
-        while parent.get(x, x) is not x:
-            x = parent[x]
-        return x
+        """The rep of form's class; a form outside the level is its own."""
+        return self.rep_of.get(form, form)
 
     def same_orbit(self, f: CanonForm, g: CanonForm) -> bool:
         return self.find(f) is self.find(g)
@@ -188,43 +183,23 @@ class Orbits:
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
     """Isomorphism classes of a generated set on the contiguous {1..n}."""
     entries = aeset.entries
-    parent: dict = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) is not root:
-            root = parent[root]
-        while parent.get(x, x) is not root:
-            parent[x], x = root, parent[x]
-        return root
-
-    generators = [{i: i + 1, i + 1: i} for i in range(1, n)]
-    apply_perm = canon.apply_perm
-    for form, entry in entries.items():
-        for gen in generators:
-            image_entry = entries.get(apply_perm(gen, form))
-            if image_entry is None:
-                raise RuntimeError(
-                    f"generated set not closed under relabeling of {form!r}"
-                )
-            ra, rb = find(entry.form), find(image_entry.form)
-            if ra is not rb:
-                parent[ra] = rb
-    best: dict = {}
-    sizes: dict = {}
+    perms = list(canon.all_perms(n))
+    classes: list = []
+    rep_of: dict = {}
     for form in entries:
-        root = find(form)
-        serial = canon.form_str(form)
-        sizes[root] = sizes.get(root, 0) + 1
-        cur = best.get(root)
-        if cur is None or serial < cur[0]:
-            best[root] = (serial, form)
-    classes = [
-        OrbitClass(key=serial, rep=form, size=sizes[root])
-        for root, (serial, form) in best.items()
-    ]
+        if form in rep_of:
+            continue
+        members = canon.orbit(form, perms)
+        if not members <= entries.keys():
+            raise RuntimeError(f"generated set not closed under relabeling of {form!r}")
+        # stored instances: find() results compare by identity, and no
+        # transient image outlives this class
+        rep = entries[min(members, key=canon.form_str)].form
+        for g in members:
+            rep_of[entries[g].form] = rep
+        classes.append(OrbitClass(key=canon.form_str(rep), rep=rep, size=len(members)))
     classes.sort(key=lambda c: c.key)
-    return Orbits(parent, classes, entries)
+    return Orbits(classes, rep_of)
 
 
 # -- classification -----------------------------------------------------------
@@ -374,7 +349,6 @@ def verify(
     ops: str = "+-*/",
     seed: int = 0,
     samples: int = 100,
-    perms_per_class: int = 20,
 ) -> VerifyReport:
     """Cross-check the generated universe against the engine and the
     published values; every mismatch becomes a failed check in the report."""
@@ -437,11 +411,7 @@ def verify(
                 for pool in (("*",), ("/",), ("+", "-"))
             ),
         )
-        report.add(
-            "classification-invariance",
-            k,
-            _check_invariance(aeset, orbits, k, rng, perms_per_class),
-        )
+        report.add("classification-invariance", k, _check_invariance(aeset, orbits))
 
         if all_ops and k == 3:
             report.add("three-var-identity-listing", k, _check_three_var_listing(aeset))
@@ -481,24 +451,13 @@ def _check_type2_pairing(aeset: AESet, orbits: Orbits) -> bool:
     return len(type2_roots) % 2 == 0
 
 
-def _check_invariance(
-    aeset: AESet, orbits: Orbits, k: int, rng: random.Random, per_class: int
-) -> bool:
+def _check_invariance(aeset: AESet, orbits: Orbits) -> bool:
     """Ending operator and type must agree across each class."""
-    base = list(range(1, k + 1))
-    for cls in orbits.classes:
-        rep_entry = aeset.entries[cls.rep]
-        for _ in range(per_class):
-            image = base[:]
-            rng.shuffle(image)
-            moved = canon.apply_perm(dict(zip(base, image)), cls.rep)
-            entry = aeset.entries.get(moved)
-            if (
-                entry is None
-                or entry.endop != rep_entry.endop
-                or entry.typeclass != rep_entry.typeclass
-            ):
-                return False
+    entries = aeset.entries
+    for form, entry in entries.items():
+        rep_entry = entries[orbits.find(form)]
+        if entry.endop != rep_entry.endop or entry.typeclass != rep_entry.typeclass:
+            return False
     return True
 
 

@@ -8,8 +8,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from arithex import oracle
 from arithex.cli import main
 from arithex.counting import class_counts
+from arithex.exprtree import parse, to_canon
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -222,6 +224,22 @@ def test_classify_json_validates():
     jsonschema.validate(payload, load_schema("classify.schema.json"))
     assert payload["endop"] == "*"
     assert payload["type"] == 3
+
+
+def test_classify_json_matches_full_pipeline():
+    family = oracle.generate(5)
+    oracle.classify_endops(family)
+    aeset = family.full_set(5)
+    oracle.classify_types(aeset, oracle.compute_orbits(aeset, 5))
+    types = set()
+    for text in ("x1+x2+x3+x4+x5", "x1-x2*x3+x4/x5", "x1+x2*(x3-x4)-x5"):
+        code, out = run_cli("classify", "--expr", text, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        entry = aeset.entries[to_canon(parse(text))]
+        assert (payload["endop"], payload["type"]) == (entry.endop, entry.typeclass)
+        types.add(payload["type"])
+    assert types == {1, 2, 3}
 
 
 def test_classify_against():

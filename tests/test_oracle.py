@@ -3,7 +3,9 @@ import pytest
 from arithex import canon, reference
 from arithex.exprtree import parse, pretty, to_canon
 from arithex.oracle import (
+    AESet,
     LimitExceeded,
+    _check_invariance,
     category_table,
     classify_endops,
     classify_type,
@@ -74,6 +76,39 @@ def test_orbit_sizes_sum(family4):
     for k in (2, 3, 4):
         orbits = compute_orbits(family4.full_set(k), k)
         assert sum(c.size for c in orbits.classes) == identity_count(family4, k)
+
+
+def test_orbit_classes_match_orbit_keys(family4):
+    for k in range(1, 5):
+        aeset = family4.full_set(k)
+        orbits = compute_orbits(aeset, k)
+        class_of = {c.rep: c for c in orbits.classes}
+        for f in aeset.entries:
+            cls = class_of[orbits.find(f)]
+            assert cls.key == canon.orbit_key(f)
+            assert len(canon.orbit(f)) == cls.size
+
+
+def test_compute_orbits_requires_closure(family4):
+    aeset = family4.full_set(3)
+    reps = {c.rep for c in compute_orbits(aeset, 3).classes}
+    dropped = next(f for f in aeset.entries if f not in reps)
+    entries = {f: e for f, e in aeset.entries.items() if f != dropped}
+    with pytest.raises(RuntimeError, match="not closed under relabeling"):
+        compute_orbits(AESet(aeset.subset, entries), 3)
+
+
+def test_invariance_check_detects_a_changed_member():
+    fam = generate(3)
+    classify_endops(fam)
+    aeset = fam.full_set(3)
+    orbits = compute_orbits(aeset, 3)
+    classify_types(aeset, orbits)
+    assert _check_invariance(aeset, orbits)
+    reps = {c.rep for c in orbits.classes}
+    entry = next(e for f, e in aeset.entries.items() if f not in reps)
+    entry.endop = next(op for op in "+-*/" if op != entry.endop)
+    assert not _check_invariance(aeset, orbits)
 
 
 def test_series_parallel_fragment():
