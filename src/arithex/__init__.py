@@ -15,6 +15,7 @@ from .canon import (
     orbit_key,
 )
 from .counting import CategoryTable, class_counts, total_nonisomorphic, worked_breakdown
+from .errors import InputError
 from .exprtree import ExprTree, eval_tree, parse, pretty, to_canon
 from .mpoly import MultiPoly
 from .oracle import generate, verify
@@ -28,6 +29,7 @@ __all__ = [
     "CategoryTable",
     "ExprTree",
     "INF",
+    "InputError",
     "MultiPoly",
     "UNDEFINED",
     "apply_perm",

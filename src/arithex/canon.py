@@ -274,12 +274,13 @@ def orbit(f: CanonForm, perms: Optional[Iterable[Permutation]] = None) -> set:
     return {apply_perm(p, f) for p in perms}
 
 
-def orbit_key(f: CanonForm) -> str:
+def orbit_key(f: CanonForm, members: Optional[Iterable[CanonForm]] = None) -> str:
     """Lexicographically least serialization over the orbit of f.
 
-    Equal keys iff the forms are isomorphic.
+    Equal keys iff the forms are isomorphic.  A caller that already holds
+    orbit(f) passes it as members.
     """
-    return min(form_str(g) for g in orbit(f))
+    return min(form_str(g) for g in (orbit(f) if members is None else members))
 
 
 def relabel_contiguous(f: CanonForm) -> tuple[CanonForm, dict]:

@@ -20,13 +20,8 @@ import sys
 from fractions import Fraction
 
 from . import canon, counting, oracle, solver
-from .exprtree import (
-    DuplicateVariable,
-    ExprSyntaxError,
-    parse as parse_expr,
-    pretty,
-    to_canon,
-)
+from .errors import InputError
+from .exprtree import parse as parse_expr, pretty, to_canon
 from .partitions import partition_text
 from .projrat import INF, fmt
 
@@ -86,11 +81,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _value_options(parser: argparse.ArgumentParser) -> set:
+    """Every option string, across the subcommands, that takes a value."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if action.nargs != 0
+        for option in action.option_strings
+    }
+
+
+def _fold_option_values(argv: list, options: set) -> list:
+    """Join each ``OPT VALUE`` into ``OPT=VALUE``, so that a value starting
+    with '-' (``--ops -*``, ``--numbers -1,2``) is not taken for an option."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in options else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_fold_option_values(argv, _value_options(parser)))
     try:
         return args.func(args)
-    except (ExprSyntaxError, DuplicateVariable, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -104,13 +124,13 @@ def _parse_cell(spec: str, n_max: int):
         type_ = _TYPE_BY_NAME[type_name.strip()]
         n = int(n_text)
     except (ValueError, KeyError):
-        raise ValueError(
+        raise InputError(
             f"breakdown cell must be 'OP,TYPE,N' with OP in + - * / and "
             f"TYPE in first/second/third, got {spec!r}"
         ) from None
     op = op.strip()
     if op not in counting.OPS or not 2 <= n <= n_max:
-        raise ValueError(f"no cell ({op}, {type_name}, {n}) within --max-n {n_max}")
+        raise InputError(f"no cell ({op}, {type_name}, {n}) within --max-n {n_max}")
     return op, type_, n
 
 
@@ -231,7 +251,9 @@ def _rational(text: str, option: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         hint = "; write 'inf' for infinity" if option == "--target" else ""
-        raise ValueError(f"{option} value {text.strip()!r} divides by zero{hint}") from None
+        raise InputError(f"{option} value {text.strip()!r} divides by zero{hint}") from None
+    except ValueError:
+        raise InputError(f"{option} value {text.strip()!r} is not a rational number") from None
 
 
 def cmd_solve(args) -> int:

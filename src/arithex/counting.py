@@ -34,6 +34,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import InputError
 from .partitions import (  # count_weighings is re-exported
     EulerSeries,
     count_weighings,
@@ -176,7 +177,7 @@ def class_counts(n_max: int) -> CategoryTable:
     into the pools the next levels draw from.
     """
     if n_max < 1:
-        raise ValueError("n_max must be positive")
+        raise InputError("n_max must be positive")
     table = CategoryTable(n_max)
     table.cells[1]["*"][1] = 1
     _close_level(table, 0)

@@ -20,10 +20,11 @@ from typing import Mapping, Union
 
 from . import canon
 from .canon import CanonForm
+from .errors import InputError
 from .projrat import EvalResult, UNDEFINED, ProjValue, p_add, p_div, p_mul, p_sub
 
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(InputError):
     """Malformed input; carries the offset and what was expected there."""
 
     def __init__(self, position: int, expected: str, found: str = ""):
@@ -39,7 +40,7 @@ class EmptyInput(ExprSyntaxError):
         super().__init__(0, "an expression")
 
 
-class DuplicateVariable(ValueError):
+class DuplicateVariable(InputError):
     """A variable may be used only once in the whole expression."""
 
     def __init__(self, index: int):
@@ -122,7 +123,8 @@ class _Parser:
         start = self.pos
         self.pos += 1  # consume 'x'
         digits = ""
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII only: str.isdigit also accepts digits that int() rejects, like '²'
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             digits += self.text[self.pos]
             self.pos += 1
         if not digits or int(digits) < 1:

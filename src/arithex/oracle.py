@@ -23,6 +23,7 @@ from typing import Iterator, Optional
 
 from . import canon, counting, reference
 from .canon import CanonForm
+from .errors import InputError
 from .exprtree import Node, Var, pretty
 
 DEFAULT_LIMIT = 7
@@ -33,11 +34,11 @@ _OP_ORDER = "+-*/"
 _END_RULES = {"+": ("+", "*", "/"), "*": ("-", "+", "*"), "/": ("+", "-", "*")}
 
 
-class LimitExceeded(ValueError):
+class LimitExceeded(InputError):
     """Requested size beyond the exhaustive-generation guard."""
 
 
-class UnsupportedOps(ValueError):
+class UnsupportedOps(InputError):
     """An operator fragment the ending-operator rules do not classify."""
 
 
@@ -112,7 +113,7 @@ def generate(
         raise LimitExceeded(f"n={n} outside 1..{limit}")
     ops_t = tuple(op for op in _OP_ORDER if op in set(ops))
     if not ops_t or set(ops) - set(_OP_ORDER):
-        raise ValueError(f"ops must be a nonempty subset of '+-*/', got {ops!r}")
+        raise InputError(f"ops must be a nonempty subset of '+-*/', got {ops!r}")
     family = Family(n, ops_t, record_decomps)
     combine = canon.combine
     for size in range(1, n + 1):

@@ -8,10 +8,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from arithex import oracle
+from arithex import InputError, canon, mpoly, oracle, solver
 from arithex.cli import main
 from arithex.counting import class_counts
-from arithex.exprtree import parse, to_canon
+from arithex.exprtree import DuplicateVariable, ExprSyntaxError, parse, to_canon
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -165,6 +165,77 @@ def test_solve_bad_input_exit_code(argv):
     assert out == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--max-n", "0"),
+        ("count", "--max-n", "6", "--breakdown", "+,first,9"),
+        ("oracle", "--n", "2", "--ops", "+x"),
+        ("oracle", "--n", "2", "--ops="),
+        ("verify", "--max-n", "3", "--ops", "-*"),
+        ("solve", "--numbers", "abc", "--target", "1"),
+        ("solve", "--numbers", "1,2", "--target", "1/x"),
+        ("solve", "--numbers", "1,2,3,4,5,6,7", "--target", "1"),
+        ("classify", "--expr", "x1+x1"),
+        ("classify", "--expr", "x\u00b2"),
+    ],
+)
+def test_input_errors_exit_2(argv):
+    with redirect_stderr(io.StringIO()) as err:
+        code, out = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_input_error_classes():
+    for cls in (
+        oracle.LimitExceeded,
+        oracle.UnsupportedOps,
+        solver.TooManyNumbers,
+        ExprSyntaxError,
+        DuplicateVariable,
+    ):
+        assert issubclass(cls, InputError)
+    for cls in (canon.OverlappingVariables, mpoly.DisjointnessViolation):
+        assert not issubclass(cls, InputError)
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        canon.OverlappingVariables("operands share variables [1]"),
+        mpoly.DisjointnessViolation("factors share variables"),
+        oracle.ClassificationAmbiguous("rules ['+', '*'] all fired"),
+    ],
+)
+def test_internal_failure_is_not_a_usage_error(exc, monkeypatch):
+    # an invariant failure propagates; it never poses as exit 2
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(oracle, "compute_orbits", broken)
+    with pytest.raises(type(exc)):
+        main(["oracle", "--n", "2"])
+
+
+def test_option_values_starting_with_dash():
+    with redirect_stderr(io.StringIO()) as err:
+        code, _ = run_cli("verify", "--max-n", "3", "--ops", "-*")
+    assert code == 2 and "cannot be classified" in err.getvalue()
+    code, out = run_cli("verify", "--max-n", "3", "--ops", "-+*/")
+    assert code == 0 and "verification passed" in out
+    code, out = run_cli("solve", "--numbers", "-1,2", "--target", "-3")
+    assert code == 0 and "x1-x2 = -3" in out
+    code, out = run_cli("solve", "--numbers", "-1/2,3", "--target", "-1/6", "--json")
+    assert code == 0
+    assert json.loads(out)["numbers"] == ["-1/2", "3"]
+    assert run_cli("solve", "--numbers=-1,2", "--target=-3") == run_cli(
+        "solve", "--numbers", "-1,2", "--target", "-3"
+    )
 
 
 def test_solve_max_solutions_zero():

@@ -52,6 +52,12 @@ def test_parse_rejects_constants():
         parse("x1+2")
 
 
+def test_parse_rejects_non_ascii_digits():
+    for text in ("x\u00b2", "x1+x\u0663"):  # superscript two, Arabic-Indic three
+        with pytest.raises(ExprSyntaxError):
+            parse(text)
+
+
 def test_parse_empty():
     with pytest.raises(EmptyInput):
         parse("   ")

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from arithex import canon, oracle
-from arithex.exprtree import Node, Var, eval_tree, parse, to_canon
+from arithex.exprtree import Node, Var, eval_tree, parse, pretty, to_canon
 from arithex.projrat import INF, UNDEFINED
 from arithex.solver import TooManyNumbers, class_uniqueness, make_query, solve
 
@@ -105,6 +106,86 @@ def test_max_solutions(family4):
     assert solve(make_query([1, 5, 6, 7], 21, want_all=True, max_solutions=0), family4) == []
     with pytest.raises(ValueError):
         make_query([1, 5, 6, 7], 21, max_solutions=-1)
+
+
+def test_family_guard():
+    # a family without decomposition records, or on fewer variables than
+    # numbers, cannot give witnesses: a plain ValueError, not an input error
+    query = make_query([1, 2, 3], 6)
+    for family in (oracle.generate(3, record_decomps=False), oracle.generate(2)):
+        with pytest.raises(ValueError) as err:
+            solve(query, family)
+        assert not isinstance(err.value, TooManyNumbers)
+
+
+def _reference_hits(query, family):
+    """(form, class key) of every hit: eval_form on every form of the level,
+    orbit_key on every hit."""
+    n = len(query.numbers)
+    point = {i + 1: x for i, x in enumerate(query.numbers)}
+    hits = []
+    for form in family.full_set(n).entries:
+        value = canon.eval_form(form, point)
+        if value is not UNDEFINED and value == query.target:
+            hits.append((form, canon.orbit_key(form)))
+    return hits
+
+
+def _reference_payload(query, family, hits):
+    point = {i + 1: x for i, x in enumerate(query.numbers)}
+    out, seen = [], set()
+    for form, key in hits:
+        if query.max_solutions is not None and len(out) >= query.max_solutions:
+            break
+        if not query.want_all and key in seen:
+            continue
+        seen.add(key)
+        witness = family.witness(form)
+        out.append({
+            "expr": pretty(witness),
+            "numbers": [str(x) for x in query.numbers],
+            "value": str(query.target),
+            "class": key,
+            "extension": eval_tree(witness, point) is UNDEFINED,
+        })
+    return out
+
+
+def _seeded_puzzles(seed, count, family):
+    rng = random.Random(seed)
+    pool = [F(0), F(0), F(1), F(-1), F(2), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4)]
+    puzzles = []
+    for i in range(count):
+        n = rng.choice([1, 2, 3, 3, 4, 4, 4])
+        numbers = [rng.choice(pool) for _ in range(n)]
+        if i % 4 == 0 and n >= 2:  # undefined-heavy: zeros make 0/0 common
+            k = rng.randint(2, n)
+            numbers[:k] = [F(0)] * k
+        kind = i % 3
+        if kind == 0:
+            target = INF
+        elif kind == 1:
+            target = rng.choice([F(0), F(1), F(-1), F(3, 2), F(7)])
+        else:  # the value of some form, so the puzzle has hits
+            point = {j + 1: x for j, x in enumerate(numbers)}
+            forms = list(family.full_set(n).entries)
+            target = UNDEFINED
+            while target is UNDEFINED:
+                target = canon.eval_form(rng.choice(forms), point)
+        puzzles.append((numbers, target))
+    return puzzles
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_solve_matches_reference(seed, family4):
+    # family4 also serves puzzles with fewer than 4 numbers
+    for numbers, target in _seeded_puzzles(seed, 16, family4):
+        hits = _reference_hits(make_query(numbers, target), family4)
+        for want_all in (False, True):
+            for max_solutions in (0, 1, None):
+                query = make_query(numbers, target, want_all=want_all, max_solutions=max_solutions)
+                got = [s.to_dict() for s in solve(query, family4)]
+                assert got == _reference_payload(query, family4, hits), (numbers, target)
 
 
 def _all_trees(indices):
