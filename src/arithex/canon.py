@@ -153,25 +153,11 @@ def make_perm(mapping: Mapping[int, int]) -> dict:
         raise ValueError(f"not injective: {mapping}")
     return cleaned
 
-def perm_from_cycles(*cycles: tuple) -> dict:
-    """Build a permutation from disjoint cycles, e.g. (1, 2, 4) for x1->x2->x4->x1."""
-    out: dict = {}
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            if a in out:
-                raise ValueError("cycles are not disjoint")
-            out[a] = b
-    return make_perm(out)
-
 
 def compose(s: Permutation, t: Permutation) -> dict:
     """The permutation applying t first, then s."""
     keys = set(s) | set(t)
     return make_perm({k: s.get(t.get(k, k), t.get(k, k)) for k in keys})
-
-
-def perm_inverse(s: Permutation) -> dict:
-    return {v: k for k, v in s.items()}
 
 
 def all_perms(n: int) -> Iterator[dict]:

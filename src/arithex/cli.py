@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import canon, counting, oracle, solver
@@ -28,17 +29,18 @@ from .projrat import INF, fmt
 _TYPE_BY_NAME = {"first": 1, "second": 2, "third": 3}
 
 ORACLE_DEFAULT_MAX_N = 5
-ORACLE_DEEP_MAX_N = 6
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: each option has one spelling, which main() folds
     parser = argparse.ArgumentParser(
         prog="arithex",
         description="count, verify and search single-use arithmetic expressions",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", help="class tables from the recurrences")
+    p_count = sub.add_parser("count", allow_abbrev=False, help="class tables from the recurrences")
     p_count.add_argument("--max-n", type=int, required=True)
     p_count.add_argument(
         "--breakdown",
@@ -48,23 +50,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_count.set_defaults(func=cmd_count)
 
-    p_oracle = sub.add_parser("oracle", help="exhaustive generation and orbits")
+    p_oracle = sub.add_parser("oracle", allow_abbrev=False, help="exhaustive generation and orbits")
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--ops", default="+-*/")
     p_oracle.add_argument(
-        "--deep", action="store_true", help=f"allow n = {ORACLE_DEEP_MAX_N} (minutes)"
+        "--deep", action="store_true", help=f"allow n = {oracle.MAX_N} (minutes)"
     )
     p_oracle.add_argument("--dump", metavar="FILE", help="write one JSON line per class")
     p_oracle.add_argument("--format", choices=("table", "json"), default="table")
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_verify = sub.add_parser("verify", help="oracle vs engine vs known values")
+    p_verify = sub.add_parser("verify", allow_abbrev=False, help="oracle vs engine vs known values")
     p_verify.add_argument("--max-n", type=int, required=True)
     p_verify.add_argument("--ops", default="+-*/")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_solve = sub.add_parser("solve", help="reach a target from given numbers")
+    p_solve = sub.add_parser("solve", allow_abbrev=False, help="reach a target from given numbers")
     p_solve.add_argument("--numbers", required=True, help="comma-separated rationals")
     p_solve.add_argument("--target", required=True, help="rational or 'inf'")
     p_solve.add_argument("--all", action="store_true", help="all witnesses, not one per class")
@@ -72,7 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_classify = sub.add_parser("classify", help="canonical form of one expression")
+    p_classify = sub.add_parser(
+        "classify", allow_abbrev=False, help="canonical form of one expression"
+    )
     p_classify.add_argument("--expr", required=True)
     p_classify.add_argument("--against", help="second expression for an isomorphism check")
     p_classify.add_argument("--json", action="store_true")
@@ -148,6 +152,8 @@ def _term_json(term: counting.Term) -> dict:
 
 
 def cmd_count(args) -> int:
+    if args.breakdown and args.format == "csv":
+        raise InputError("--breakdown prints text or json, not csv")
     table = counting.class_counts(args.max_n)
     if args.breakdown:
         op, type_, n = _parse_cell(args.breakdown, args.max_n)
@@ -183,22 +189,26 @@ def cmd_count(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    limit = ORACLE_DEEP_MAX_N if args.deep else ORACLE_DEFAULT_MAX_N
+    limit = oracle.MAX_N if args.deep else ORACLE_DEFAULT_MAX_N
     if not 1 <= args.n <= limit:
-        hint = "" if args.deep else " (use --deep for n = 6)"
-        print(f"error: --n must be within 1..{limit}{hint}", file=sys.stderr)
-        return 2
+        hint = "" if args.deep else f" (use --deep for n = {oracle.MAX_N})"
+        raise InputError(f"--n must be within 1..{limit}{hint}")
     oracle.check_classifiable(args.ops)
-    family = oracle.generate(args.n, ops=args.ops, limit=limit)
-    oracle.classify_endops(family)
-    aeset = family.full_set()
-    orbits = oracle.compute_orbits(aeset, args.n)
-    oracle.classify_types(aeset, orbits)
-    cells = oracle.category_table(aeset, orbits)
-    if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as handle:
+    # opened before the build, so an unwritable path fails in no time
+    try:
+        dump = open(args.dump, "w", encoding="utf-8") if args.dump else nullcontext()
+    except OSError as exc:
+        raise InputError(f"cannot write --dump file {args.dump!r}: {exc.strerror}") from None
+    with dump:
+        family = oracle.generate(args.n, ops=args.ops)
+        oracle.classify_endops(family)
+        aeset = family.full_set()
+        orbits = oracle.compute_orbits(aeset, args.n)
+        oracle.classify_types(aeset, orbits)
+        cells = oracle.category_table(aeset, orbits)
+        if args.dump:
             for record in oracle.dump_lines(family, aeset, orbits, args.n):
-                handle.write(json.dumps(record) + "\n")
+                dump.write(json.dumps(record) + "\n")
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -231,8 +241,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     if not 1 <= args.max_n <= ORACLE_DEFAULT_MAX_N:
-        print(f"error: --max-n must be within 1..{ORACLE_DEFAULT_MAX_N}", file=sys.stderr)
-        return 2
+        raise InputError(f"--max-n must be within 1..{ORACLE_DEFAULT_MAX_N}")
     report = oracle.verify(args.max_n, ops=args.ops, seed=args.seed)
     for line in report.lines():
         print(line)

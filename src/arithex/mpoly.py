@@ -22,10 +22,6 @@ from typing import Iterable, Mapping
 Monomial = tuple  # tuple[int, ...], strictly increasing
 
 
-class DisjointnessViolation(ValueError):
-    """A product would square a variable shared by both factors."""
-
-
 class ZeroPolynomial(ValueError):
     """Operation undefined for the zero polynomial."""
 
@@ -36,13 +32,6 @@ class MissingAssignment(KeyError):
 
 class FactorizationError(RuntimeError):
     """Internal consistency failure while splitting off a disjoint factor."""
-
-
-def lex_compare(a: Monomial, b: Monomial) -> int:
-    """Return -1, 0 or 1 as monomial ``a`` sorts before, equal to or after ``b``."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
 
 
 def _merge_disjoint(a: Monomial, b: Monomial) -> Monomial:
@@ -79,9 +68,6 @@ class MultiPoly:
             raise ValueError(f"variable index must be >= 1, got {i}")
         return cls((((i,), 1),))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -115,16 +101,6 @@ class MultiPoly:
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if not self.terms or not other.terms:
-            return ZERO
-        shared = self.variables() & other.variables()
-        if shared:
-            raise DisjointnessViolation(
-                f"factors share variables {sorted(shared)}; product would not be multilinear"
-            )
-        return self.mul_disjoint(other)
-
     def mul_disjoint(self, other: "MultiPoly") -> "MultiPoly":
         """Product assuming variable sets are disjoint (caller-checked)."""
         # Disjointness makes every merged monomial unique, so no collection pass.
@@ -134,11 +110,6 @@ class MultiPoly:
                 out.append((_merge_disjoint(ma, mb), ca * cb))
         out.sort()
         return MultiPoly(out)
-
-    def scale(self, k: int) -> "MultiPoly":
-        if k == 0:
-            return ZERO
-        return MultiPoly((m, c * k) for m, c in self.terms)
 
     def divide_content(self, k: int) -> "MultiPoly":
         """Divide every coefficient by ``k`` (must divide exactly)."""

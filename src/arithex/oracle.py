@@ -26,7 +26,11 @@ from .canon import CanonForm
 from .errors import InputError
 from .exprtree import Node, Var, pretty
 
-DEFAULT_LIMIT = 7
+# largest n an exhaustive build may take: n = 7 has 27.9M forms
+MAX_N = 6
+
+# random operand pairs behind verify's class-operation-compatibility check
+_CLASS_OPERATION_SAMPLES = 100
 
 _OP_ORDER = "+-*/"
 
@@ -72,10 +76,9 @@ class AESet:
 class Family:
     """Generated sets for every nonempty subset of {1..n}."""
 
-    def __init__(self, n: int, ops: tuple, record_decomps: bool):
+    def __init__(self, n: int, ops: tuple):
         self.n = n
         self.ops = ops
-        self.record_decomps = record_decomps
         self.sets: dict = {}  # frozenset -> AESet
 
     def full_set(self, k: Optional[int] = None) -> AESet:
@@ -97,24 +100,19 @@ class Family:
         return entry._witness
 
 
-def generate(
-    n: int,
-    ops: str = "+-*/",
-    limit: int = DEFAULT_LIMIT,
-    record_decomps: bool = True,
-) -> Family:
+def generate(n: int, ops: str = "+-*/") -> Family:
     """Close the atoms on every subset of {1..n} under the allowed ops.
 
-    Subsets are processed by size then lexicographically; each unordered
-    bipartition is visited once (the side containing the least element
-    first), with both operand orders for - and /.
+    n must lie in 1..MAX_N.  Subsets are processed by size then
+    lexicographically; each unordered bipartition is visited once (the side
+    containing the least element first), with both operand orders for - and
+    /.  Every entry records each (op, left, right) that produced it, in
+    that order; the first is its witness.
     """
-    if not 1 <= n <= limit:
-        raise LimitExceeded(f"n={n} outside 1..{limit}")
-    ops_t = tuple(op for op in _OP_ORDER if op in set(ops))
-    if not ops_t or set(ops) - set(_OP_ORDER):
-        raise InputError(f"ops must be a nonempty subset of '+-*/', got {ops!r}")
-    family = Family(n, ops_t, record_decomps)
+    if not 1 <= n <= MAX_N:
+        raise LimitExceeded(f"n={n} outside 1..{MAX_N}")
+    ops_t = _ops_tuple(ops)
+    family = Family(n, ops_t)
     combine = canon.combine
     for size in range(1, n + 1):
         for subset in combinations(range(1, n + 1), size):
@@ -145,10 +143,17 @@ def generate(
                                 entry = entries.get(res)
                                 if entry is None:
                                     entry = entries[res] = AEntry(res)
-                                if record_decomps:
-                                    entry.decomps.append((op, fa, fb))
+                                entry.decomps.append((op, fa, fb))
             family.sets[fs] = AESet(subset, entries)
     return family
+
+
+def _ops_tuple(ops: str) -> tuple:
+    """The operators of ops in +-*/ order; any other character is an input error."""
+    ops_t = tuple(op for op in _OP_ORDER if op in set(ops))
+    if not ops_t or set(ops) - set(_OP_ORDER):
+        raise InputError(f"ops must be a nonempty subset of '+-*/', got {ops!r}")
+    return ops_t
 
 
 def identity_count(family: Family, k: Optional[int] = None) -> int:
@@ -176,9 +181,6 @@ class Orbits:
     def find(self, form: CanonForm) -> CanonForm:
         """The rep of form's class; a form outside the level is its own."""
         return self.rep_of.get(form, form)
-
-    def same_orbit(self, f: CanonForm, g: CanonForm) -> bool:
-        return self.find(f) is self.find(g)
 
 
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
@@ -212,7 +214,8 @@ def is_first_type(form: CanonForm, family: Family) -> bool:
 
 
 def check_classifiable(ops: str) -> None:
-    """Reject fragments with - but no +, or / but no *.
+    """Reject fragments with - but no +, or / but no *, then any ops that
+    generate would reject.
 
     The ending rules read a - b - c only as a - (b + c), and a / b / c only
     as a / (b * c), so without those operators some expressions match no
@@ -222,6 +225,7 @@ def check_classifiable(ops: str) -> None:
         raise UnsupportedOps(
             f"ops {ops!r} cannot be classified: '-' needs '+' and '/' needs '*'"
         )
+    _ops_tuple(ops)
 
 
 def classify_endops(family: Family) -> None:
@@ -230,8 +234,6 @@ def classify_endops(family: Family) -> None:
     Exactly one rule must fire per entry; anything else is a hard failure
     of the classification laws and raises.
     """
-    if not family.record_decomps:
-        raise ValueError("classification needs decomposition records")
     # family.sets insertion order is by subset size, so operands of every
     # decomposition are already classified when their parent is reached
     for aeset in family.sets.values():
@@ -275,7 +277,7 @@ def classify_types(aeset: AESet, orbits: Orbits) -> None:
         neg = canon.negate(form)
         if neg not in entries:
             entry.typeclass = 1
-        elif orbits.same_orbit(form, neg):
+        elif orbits.find(form) is orbits.find(neg):
             entry.typeclass = 3
         else:
             entry.typeclass = 2
@@ -345,12 +347,7 @@ class VerifyReport:
         return [c.line() for c in self.checks]
 
 
-def verify(
-    n_max: int,
-    ops: str = "+-*/",
-    seed: int = 0,
-    samples: int = 100,
-) -> VerifyReport:
+def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
     """Cross-check the generated universe against the engine and the
     published values; every mismatch becomes a failed check in the report."""
     check_classifiable(ops)
@@ -425,7 +422,7 @@ def verify(
     report.add(
         "class-operation-compatibility",
         n_max,
-        _check_class_operations(family, rng, samples),
+        _check_class_operations(family, rng),
     )
     return report
 
@@ -476,7 +473,7 @@ def _check_class_listing(orbits: Orbits, listed: list) -> bool:
     return expected == {c.key for c in orbits.classes}
 
 
-def _check_class_operations(family: Family, rng: random.Random, samples: int) -> bool:
+def _check_class_operations(family: Family, rng: random.Random) -> bool:
     """Combining stays well defined on classes: isomorphic operands with
     disjoint variables give isomorphic results."""
     if family.n < 2:
@@ -484,7 +481,7 @@ def _check_class_operations(family: Family, rng: random.Random, samples: int) ->
     subsets = [s for s in family.sets if 0 < len(s) < family.n]
     if not subsets:
         return True
-    for _ in range(samples):
+    for _ in range(_CLASS_OPERATION_SAMPLES):
         left = rng.choice(subsets)
         right_pool = [s for s in subsets if not (s & left)]
         if not right_pool:

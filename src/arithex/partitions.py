@@ -3,8 +3,8 @@
 A partition is kept in compact multiplicity form: a tuple of
 ``(size, multiplicity)`` pairs with strictly increasing sizes, e.g.
 ``((1, 3), (2, 1))`` for 1+1+1+2.  Partitions of each n are generated in
-lexicographic order of their ascending part lists and memoized; only
-traced breakdowns (``weighing_terms``) and the tests enumerate them.
+lexicographic order of their ascending part lists, afresh on each call;
+only traced breakdowns (``weighing_terms``) and the tests enumerate them.
 
 The colored-weights count answers: given ``counts(k)`` colors of weight k
 for every k >= 1, in how many ways can multisets of colored weights total
@@ -20,7 +20,6 @@ Sequences*, 1995):
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
@@ -57,17 +56,12 @@ def _compact(parts: list) -> Partition:
     return tuple((size, mult) for size, mult in out)
 
 
-@lru_cache(maxsize=None)
 def all_partitions(n: int) -> tuple:
     """Every partition of n exactly once, in lexicographic order of the
     ascending part lists; n = 0 gives the single empty partition."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     return tuple(_compact(parts) for parts in _ascending_parts(n))
-
-
-def partition_count(n: int) -> int:
-    return len(all_partitions(n))
 
 
 def partition_text(partition: Partition) -> str:

@@ -41,16 +41,6 @@ ProjValue = Union[Fraction, _Infinity]
 EvalResult = Union[Fraction, _Infinity, _Undefined]
 
 
-def as_proj(x) -> ProjValue:
-    """Coerce ints, strings or Fractions to a projective value.
-
-    ``INF`` and the strings ``"inf"``/``"oo"`` map to the point at infinity.
-    """
-    if x is INF or x in ("inf", "oo"):
-        return INF
-    return Fraction(x)
-
-
 def is_finite(x: EvalResult) -> bool:
     return isinstance(x, Fraction)
 

@@ -33,8 +33,6 @@ from .errors import InputError
 from .exprtree import ExprTree, eval_tree, pretty
 from .projrat import INF, UNDEFINED, EvalResult, ProjValue, fmt
 
-MAX_NUMBERS = 6
-
 
 class TooManyNumbers(InputError):
     """Puzzle size beyond the exhaustive-search limit."""
@@ -76,8 +74,8 @@ def make_query(
     max_solutions: Optional[int] = None,
 ) -> PuzzleQuery:
     nums = tuple(Fraction(x) for x in numbers)
-    if not 1 <= len(nums) <= MAX_NUMBERS:
-        raise TooManyNumbers(f"need 1..{MAX_NUMBERS} numbers, got {len(nums)}")
+    if not 1 <= len(nums) <= oracle.MAX_N:
+        raise TooManyNumbers(f"need 1..{oracle.MAX_N} numbers, got {len(nums)}")
     tgt = INF if target is INF else Fraction(target)
     if max_solutions is not None and max_solutions < 0:
         raise InputError(f"max_solutions must be nonnegative, got {max_solutions}")
@@ -105,14 +103,12 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
     """All solutions, one witness per isomorphism class unless want_all.
 
     Solutions come out in deterministic generation order, grouped by class
-    key first appearance.  A given family must record decompositions and
-    cover at least as many variables as there are numbers.
+    key first appearance.  A given family must cover at least as many
+    variables as there are numbers.
     """
     n = len(query.numbers)
     if family is None:
         family = oracle.generate(n)
-    elif not family.record_decomps:
-        raise ValueError("solving needs a family built with decomposition records")
     elif family.n < n:
         raise ValueError(f"family on {family.n} variables cannot solve {n} numbers")
     full = frozenset(range(1, n + 1))

@@ -116,7 +116,7 @@ def test_criterion_04_identity_counts(family5_data):
 )
 def test_criterion_04_deep_identity_count_n6():
     start = time.monotonic()
-    family = oracle.generate(6, record_decomps=False)
+    family = oracle.generate(6)
     count = oracle.identity_count(family, 6)
     elapsed = time.monotonic() - start
     assert count == 793002

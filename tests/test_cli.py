@@ -108,6 +108,10 @@ def test_oracle_table(tmp_path):
     assert len(lines) == 18
     for line in lines:
         jsonschema.validate(json.loads(line), schema)
+    # an input error is reported before the dump file is opened
+    with redirect_stderr(io.StringIO()):
+        assert run_cli("oracle", "--n", "3", "--ops", "+x", "--dump", str(dump))[0] == 2
+    assert dump.read_text().splitlines() == lines
 
 
 def test_oracle_json():
@@ -180,6 +184,11 @@ def test_solve_bad_input_exit_code(argv):
         ("solve", "--numbers", "1,2,3,4,5,6,7", "--target", "1"),
         ("classify", "--expr", "x1+x1"),
         ("classify", "--expr", "x\u00b2"),
+        ("oracle", "--n", "3", "--dump", str(Path(__file__).parent / "no-such-dir" / "x")),
+        ("oracle", "--n", "0"),
+        ("oracle", "--n", "7", "--deep"),
+        ("verify", "--max-n", "6"),
+        ("count", "--max-n", "6", "--breakdown", "+,first,6", "--format", "csv"),
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -200,7 +209,7 @@ def test_input_error_classes():
         DuplicateVariable,
     ):
         assert issubclass(cls, InputError)
-    for cls in (canon.OverlappingVariables, mpoly.DisjointnessViolation):
+    for cls in (canon.OverlappingVariables, mpoly.ZeroPolynomial):
         assert not issubclass(cls, InputError)
 
 
@@ -208,7 +217,7 @@ def test_input_error_classes():
     "exc",
     [
         canon.OverlappingVariables("operands share variables [1]"),
-        mpoly.DisjointnessViolation("factors share variables"),
+        mpoly.ZeroPolynomial("zero polynomial has no leading monomial"),
         oracle.ClassificationAmbiguous("rules ['+', '*'] all fired"),
     ],
 )
@@ -336,9 +345,11 @@ def test_classify_syntax_error_exit_code():
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["count"])
-    assert err.value.code == 2
+    # option prefixes are not accepted: each option has one spelling
+    for argv in (["count"], ["solve", "--num", "1,2", "--target", "3"]):
+        with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_determinism():

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from arithex.mpoly import (
     ONE,
     ZERO,
-    DisjointnessViolation,
     MissingAssignment,
     MultiPoly,
     ZeroPolynomial,
     disjoint_factors,
-    lex_compare,
 )
 
 V = MultiPoly.variable
@@ -24,29 +22,16 @@ def P(*terms):
     return MultiPoly.from_dict(dict(terms))
 
 
-def test_lex_compare_examples():
-    assert lex_compare((1, 3), (2, 3, 4)) == -1
-    assert lex_compare((2,), (2, 3)) == -1
-    assert lex_compare((), (1,)) == -1
-    assert lex_compare((2, 3), (2, 3)) == 0
-    assert lex_compare((3,), (2, 4)) == 1
+def test_term_order_examples():
+    # constant first, a proper prefix before its extensions, then left to right
+    p = P(((2, 4), 1), ((2, 3, 4), 1), ((2,), 1), ((1, 3), 1), ((), 1))
+    assert [m for m, _ in p.terms] == [(), (1, 3), (2,), (2, 3, 4), (2, 4)]
+    assert p.text() == "1 + x1*x3 + x2 + x2*x3*x4 + x2*x4"
 
 
 monomials = st.lists(st.integers(1, 9), unique=True, max_size=4).map(
     lambda vs: tuple(sorted(vs))
 )
-
-
-@given(monomials, monomials, monomials)
-@settings(max_examples=200)
-def test_lex_compare_total_order(a, b, c):
-    # antisymmetry
-    assert lex_compare(a, b) == -lex_compare(b, a)
-    # totality
-    assert lex_compare(a, b) in (-1, 0, 1)
-    # transitivity
-    if lex_compare(a, b) <= 0 and lex_compare(b, c) <= 0:
-        assert lex_compare(a, c) <= 0
 
 
 def test_add_sub():
@@ -57,17 +42,16 @@ def test_add_sub():
 
 
 def test_mul_distributes():
-    lhs = (V(1) + V(4)) * (V(2) - P(((3, 5), 1)))
+    lhs = (V(1) + V(4)).mul_disjoint(V(2) - P(((3, 5), 1)))
     assert lhs == P(((1, 2), 1), ((1, 3, 5), -1), ((2, 4), 1), ((3, 4, 5), -1))
     assert lhs.text() == "x1*x2 - x1*x3*x5 + x2*x4 - x3*x4*x5"
 
 
 def test_mul_identity_and_disjointness():
-    assert ONE * V(7) == V(7)
-    with pytest.raises(DisjointnessViolation):
-        V(1) * V(1)
-    with pytest.raises(DisjointnessViolation):
-        (V(1) + V(2)) * (V(2) + V(3))
+    assert ONE.mul_disjoint(V(7)) == V(7)
+    # disjoint factors merge every pair of monomials into a distinct one
+    product = (V(1) + V(2)).mul_disjoint(V(3) - V(4))
+    assert product.text() == "x1*x3 - x1*x4 + x2*x3 - x2*x4"
 
 
 def test_is_monic():
@@ -143,7 +127,7 @@ def test_evaluation_respects_ring_ops(da, db):
     point = {v: Fraction(v * 2 - 11, 3) for v in range(1, 10)}
     assert (pa + pb).evaluate(point) == pa.evaluate(point) + pb.evaluate(point)
     if not (pa.variables() & pb.variables()):
-        assert (pa * pb).evaluate(point) == pa.evaluate(point) * pb.evaluate(point)
+        assert pa.mul_disjoint(pb).evaluate(point) == pa.evaluate(point) * pb.evaluate(point)
 
 
 def test_content():
@@ -205,12 +189,12 @@ def test_disjoint_factors_recovers_products(dicts):
         polys.append(MultiPoly.from_dict(shifted))
     product = ONE
     for q in polys:
-        product = product * q
+        product = product.mul_disjoint(q)
     if not product:
         return
     sign, content, factors = disjoint_factors(product)
     rebuilt = C(sign * content)
     for f in factors:
-        rebuilt = rebuilt * f
+        rebuilt = rebuilt.mul_disjoint(f)
         assert f.is_monic() and f.content() == 1
     assert rebuilt == product

@@ -123,8 +123,11 @@ def test_series_parallel_fragment():
 
 
 def test_generate_guard():
+    for n in (0, 7, 8):
+        with pytest.raises(LimitExceeded):
+            generate(n)
     with pytest.raises(LimitExceeded):
-        generate(8)
+        verify(7)
     with pytest.raises(ValueError):
         generate(3, ops="")
 

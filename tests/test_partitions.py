@@ -8,7 +8,6 @@ from arithex.partitions import (
     count_weighings,
     from_prefix,
     multiset_coeff,
-    partition_count,
     partition_text,
     weighing_terms,
 )
@@ -72,7 +71,7 @@ def _euler_partition_counts(limit):
 def test_partition_counts_match_euler_recurrence():
     euler = _euler_partition_counts(40)
     for n in range(41):
-        assert partition_count(n) == euler[n]
+        assert len(all_partitions(n)) == euler[n]
 
 
 def test_partition_text():

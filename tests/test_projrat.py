@@ -5,7 +5,6 @@ import pytest
 from arithex.projrat import (
     INF,
     UNDEFINED,
-    as_proj,
     fmt,
     inv,
     is_defined,
@@ -100,10 +99,7 @@ def test_field_agreement_on_finite_values():
             assert p_div(a, b) == a / b
 
 
-def test_as_proj_and_fmt():
-    assert as_proj("inf") is INF
-    assert as_proj("2/3") == F(2, 3)
-    assert as_proj(4) == 4
+def test_fmt():
     assert fmt(F(21)) == "21"
     assert fmt(F(2, 3)) == "2/3"
     assert fmt(INF) == "inf"

@@ -109,13 +109,11 @@ def test_max_solutions(family4):
 
 
 def test_family_guard():
-    # a family without decomposition records, or on fewer variables than
-    # numbers, cannot give witnesses: a plain ValueError, not an input error
-    query = make_query([1, 2, 3], 6)
-    for family in (oracle.generate(3, record_decomps=False), oracle.generate(2)):
-        with pytest.raises(ValueError) as err:
-            solve(query, family)
-        assert not isinstance(err.value, TooManyNumbers)
+    # a family on fewer variables than numbers cannot give witnesses: a
+    # plain ValueError, not an input error
+    with pytest.raises(ValueError) as err:
+        solve(make_query([1, 2, 3], 6), oracle.generate(2))
+    assert not isinstance(err.value, TooManyNumbers)
 
 
 def _reference_hits(query, family):
