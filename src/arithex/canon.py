@@ -12,6 +12,14 @@ cross product of reduced forms stays reduced, an assumption the test suite
 guards with randomized functional-equality checks.  Zero assignment is the
 one operation that can surface a common factor, and it cancels factors via
 verified disjoint-variable factorization.
+
+Work repeated across a build is done once.  ``combine`` takes its
+products from a ``mpoly.PolyTable`` and stores the result's numerator and
+denominator in it, so an exhaustive build that passes one table computes
+each product once and keeps one copy of each polynomial.  ``relabelings(n)``
+pairs each permutation of {1..n} with a table of monomial images, so the
+orbits of many forms of one size relabel each monomial once per
+permutation.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .mpoly import ONE, MultiPoly, disjoint_factors
+from .mpoly import ONE, MultiPoly, PolyTable, disjoint_factors
 from .projrat import EvalResult, UNDEFINED, p_div
 
 OPS = ("+", "-", "*", "/")
@@ -76,13 +84,22 @@ def form_str(f: CanonForm) -> str:
     return f"({f.num.text()}) / ({f.den.text()})"
 
 
-def atom(i: int) -> CanonForm:
-    """The form of the bare variable x_i."""
-    return CanonForm(MultiPoly.variable(i), ONE, frozenset((i,)))
+def atom(i: int, table: Optional[PolyTable] = None) -> CanonForm:
+    """The form of the bare variable x_i, its polynomials stored in table."""
+    if table is None:
+        table = PolyTable()
+    num = table.intern(MultiPoly.variable(i))
+    return CanonForm(num, table.intern(ONE), frozenset((i,)))
 
 
-def _normalized(num: MultiPoly, den: MultiPoly, varset: Optional[frozenset] = None) -> CanonForm:
-    """Apply the two normalizations: joint content gcd and monic denominator."""
+def _normalized(
+    num: MultiPoly,
+    den: MultiPoly,
+    varset: Optional[frozenset] = None,
+    table: Optional[PolyTable] = None,
+) -> CanonForm:
+    """Apply the two normalizations, joint content gcd and monic
+    denominator, and take num and den from the table."""
     c = gcd(num.content(), den.content())
     if c > 1:
         num = num.divide_content(c)
@@ -91,15 +108,27 @@ def _normalized(num: MultiPoly, den: MultiPoly, varset: Optional[frozenset] = No
         num, den = -num, -den
     if varset is None:
         varset = num.variables() | den.variables()
-    return CanonForm(num, den, varset)
+    if table is None:
+        table = PolyTable()
+    return CanonForm(table.intern(num), table.intern(den), varset)
 
 
-def combine(op: str, f: CanonForm, g: CanonForm, varset: Optional[frozenset] = None) -> CanonForm:
+def combine(
+    op: str,
+    f: CanonForm,
+    g: CanonForm,
+    varset: Optional[frozenset] = None,
+    table: Optional[PolyTable] = None,
+) -> CanonForm:
     """Combine two forms on disjoint variable sets with +, -, * or /.
 
     Cross-multiplication rules, with f = F1/F2 and g = G1/G2:
     ``+ -> (F1*G2 + F2*G1)/(F2*G2)``, ``- -> (F1*G2 - F2*G1)/(F2*G2)``,
     ``* -> (F1*G1)/(F2*G2)``, ``/ -> (F1*G2)/(F2*G1)``.
+
+    Products come from table, and the result's num and den are stored in
+    it; a build passes its one table to every call, a one-off call gets a
+    fresh one.
     """
     if varset is None:
         if f.varset & g.varset:
@@ -107,23 +136,26 @@ def combine(op: str, f: CanonForm, g: CanonForm, varset: Optional[frozenset] = N
                 f"operands share variables {sorted(f.varset & g.varset)}"
             )
         varset = f.varset | g.varset
+    if table is None:
+        table = PolyTable()
+    product = table.product
     if op == "+":
-        num = f.num.mul_disjoint(g.den) + f.den.mul_disjoint(g.num)
-        den = f.den.mul_disjoint(g.den)
+        num = product(f.num, g.den) + product(f.den, g.num)
+        den = product(f.den, g.den)
     elif op == "-":
-        num = f.num.mul_disjoint(g.den) - f.den.mul_disjoint(g.num)
-        den = f.den.mul_disjoint(g.den)
+        num = product(f.num, g.den) - product(f.den, g.num)
+        den = product(f.den, g.den)
     elif op == "*":
-        num = f.num.mul_disjoint(g.num)
-        den = f.den.mul_disjoint(g.den)
+        num = product(f.num, g.num)
+        den = product(f.den, g.den)
     elif op == "/":
-        num = f.num.mul_disjoint(g.den)
-        den = f.den.mul_disjoint(g.num)
+        num = product(f.num, g.den)
+        den = product(f.den, g.num)
     else:
         raise ValueError(f"unknown operator {op!r}")
     if not num:
         raise NonAEResult(f"vanishing numerator combining {f!r} {op} {g!r}")
-    return _normalized(num, den, varset)
+    return _normalized(num, den, varset, table)
 
 
 def negate(f: CanonForm) -> CanonForm:
@@ -167,24 +199,41 @@ def all_perms(n: int) -> Iterator[dict]:
         yield dict(zip(base, image))
 
 
-def _permute_terms(terms, perm: Permutation):
-    out = [
-        (tuple(sorted(perm.get(v, v) for v in m)), c)
-        for m, c in terms
-    ]
+def relabelings(n: int) -> list:
+    """Every permutation of {1..n}, each paired with its table of monomial
+    images, filled as monomials are relabeled.
+
+    Callers that relabel many forms of one size pass this list, so each
+    monomial is relabeled once per permutation.
+    """
+    return [(perm, {}) for perm in all_perms(n)]
+
+
+def _relabel_terms(terms, perm: Permutation, images: dict) -> list:
+    out = []
+    for m, c in terms:
+        image = images.get(m)
+        if image is None:
+            image = images[m] = tuple(sorted([perm.get(v, v) for v in m]))
+        out.append((image, c))
     out.sort()
     return out
 
 
-def apply_perm(perm: Permutation, f: CanonForm) -> CanonForm:
-    """Relabel variables through perm and renormalize the denominator sign."""
-    num_terms = _permute_terms(f.num.terms, perm)
-    den_terms = _permute_terms(f.den.terms, perm)
+def _relabel(f: CanonForm, perm: Permutation, images: dict, varset: frozenset) -> CanonForm:
+    """f relabeled through perm, monomial images read from and added to
+    images; varset is the relabeled variable set."""
+    num_terms = _relabel_terms(f.num.terms, perm, images)
+    den_terms = _relabel_terms(f.den.terms, perm, images)
     if den_terms[0][1] < 0:
         num_terms = [(m, -c) for m, c in num_terms]
         den_terms = [(m, -c) for m, c in den_terms]
-    varset = frozenset(perm.get(v, v) for v in f.varset)
     return CanonForm(MultiPoly(num_terms), MultiPoly(den_terms), varset)
+
+
+def apply_perm(perm: Permutation, f: CanonForm) -> CanonForm:
+    """Relabel variables through perm and renormalize the denominator sign."""
+    return _relabel(f, perm, {}, frozenset(perm.get(v, v) for v in f.varset))
 
 
 def _require_contiguous(f: CanonForm) -> int:
@@ -246,18 +295,19 @@ def is_isomorphic(f: CanonForm, g: CanonForm) -> Optional[dict]:
     return None
 
 
-def orbit(f: CanonForm, perms: Optional[Iterable[Permutation]] = None) -> set:
+def orbit(f: CanonForm, relabels: Optional[list] = None) -> set:
     """The isomorphism class of f: its distinct images under every
     relabeling of {1..n}.
 
-    Two forms are isomorphic iff each lies in the other's orbit.  perms
-    defaults to all_perms(n); callers that take many orbits of one size
-    pass that list once.
+    Two forms are isomorphic iff each lies in the other's orbit.  relabels
+    defaults to a fresh relabelings(n); callers that take many orbits of
+    one size pass one list to every call.
     """
     n = _require_contiguous(f)
-    if perms is None:
-        perms = all_perms(n)
-    return {apply_perm(p, f) for p in perms}
+    if relabels is None:
+        relabels = relabelings(n)
+    varset = f.varset
+    return {_relabel(f, perm, images, varset) for perm, images in relabels}
 
 
 def orbit_key(f: CanonForm, members: Optional[Iterable[CanonForm]] = None) -> str:

@@ -10,6 +10,11 @@ The monomial order compares index sequences left to right, with a proper
 prefix preceding its extensions and the constant monomial first.  On
 tuples of ints this is exactly Python's native tuple order, e.g.
 ``(1, 3) < (2, 3, 4)`` and ``(2,) < (2, 3)``.
+
+A ``PolyTable`` belongs to one build.  It keeps one copy of each distinct
+polynomial and computes the product of each operand pair once, so the
+many forms of an exhaustive build share their polynomials and their
+products.  Polynomials are immutable, so sharing changes no value.
 """
 
 from __future__ import annotations
@@ -45,13 +50,14 @@ def _merge_disjoint(a: Monomial, b: Monomial) -> Monomial:
 class MultiPoly:
     """Immutable multilinear polynomial with canonical term order."""
 
-    __slots__ = ("terms", "_vars", "_hash")
+    __slots__ = ("terms", "_vars", "_content", "_hash")
 
     def __init__(self, terms: Iterable[tuple[Monomial, int]] = ()):
         # Trusted constructor: terms must already be sorted with distinct
         # monomials and nonzero coefficients.  Use from_dict otherwise.
         self.terms = tuple(terms)
         self._vars = None
+        self._content = None
         self._hash = hash(self.terms)
 
     @classmethod
@@ -133,7 +139,9 @@ class MultiPoly:
 
     def content(self) -> int:
         """gcd of the absolute coefficients; 0 for the zero polynomial."""
-        return reduce(gcd, (abs(c) for _, c in self.terms), 0)
+        if self._content is None:
+            self._content = reduce(gcd, (abs(c) for _, c in self.terms), 0)
+        return self._content
 
     def decompose(self, i: int) -> tuple["MultiPoly", "MultiPoly"]:
         """Split as ``x_i * head + tail`` with ``x_i`` absent from both parts.
@@ -193,6 +201,32 @@ class MultiPoly:
 
 ZERO = MultiPoly()
 ONE = MultiPoly.constant(1)
+
+
+class PolyTable:
+    """One build's polynomials: each distinct one stored once, each product
+    of an operand pair computed once.
+
+    A table lives as long as the build that owns it; nothing is shared
+    between builds.
+    """
+
+    __slots__ = ("polys", "products")
+
+    def __init__(self):
+        self.polys: dict = {}     # polynomial -> its stored copy
+        self.products: dict = {}  # (a, b) -> a*b
+
+    def intern(self, p: MultiPoly) -> MultiPoly:
+        """The stored polynomial equal to p, storing p if it is new."""
+        return self.polys.setdefault(p, p)
+
+    def product(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+        """The stored product of two polynomials on disjoint variables."""
+        ab = self.products.get((a, b))
+        if ab is None:
+            ab = self.products[a, b] = self.intern(a.mul_disjoint(b))
+        return ab
 
 
 # ---------------------------------------------------------------------------

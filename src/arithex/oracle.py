@@ -2,7 +2,10 @@
 
 Generates every constructible expression on each subset of {x1..xn} by
 closing the atoms under the four operations with disjoint variable sets,
-deduplicating by canonical form.  On top of the generated universe it
+deduplicating by canonical form.  One polynomial table serves the whole
+build: each product of two operand polynomials is computed once, and the
+stored forms share one copy of each distinct polynomial.  The table is
+dropped when the build returns.  On top of the generated universe it
 computes isomorphism orbits, classifies representatives by ending operator
 and type, and cross-checks everything against the recurrence engine and
 the published reference values.
@@ -12,6 +15,8 @@ orbits of a full variable set are read off ``canon.orbit``: each form not
 yet placed starts a class whose members are its relabelings.  The
 generated set is closed under relabeling, so every member must be stored,
 and the least serialization over the members is the per-form orbit key.
+The orbits of one level share one ``canon.relabelings`` list, so each
+monomial is relabeled once per permutation.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from . import canon, counting, reference
 from .canon import CanonForm
 from .errors import InputError
 from .exprtree import Node, Var, pretty
+from .mpoly import PolyTable
 
 # largest n an exhaustive build may take: n = 7 has 27.9M forms
 MAX_N = 6
@@ -114,12 +120,13 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     ops_t = _ops_tuple(ops)
     family = Family(n, ops_t)
     combine = canon.combine
+    table = PolyTable()
     for size in range(1, n + 1):
         for subset in combinations(range(1, n + 1), size):
             fs = frozenset(subset)
             entries: dict = {}
             if size == 1:
-                a = canon.atom(subset[0])
+                a = canon.atom(subset[0], table)
                 entries[a] = AEntry(a)
                 family.sets[fs] = AESet(subset, entries)
                 continue
@@ -139,7 +146,7 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                             else:
                                 ordered = ((e1, e2), (e2, e1))
                             for fa, fb in ordered:
-                                res = combine(op, fa, fb, varset=fs)
+                                res = combine(op, fa, fb, varset=fs, table=table)
                                 entry = entries.get(res)
                                 if entry is None:
                                     entry = entries[res] = AEntry(res)
@@ -186,13 +193,13 @@ class Orbits:
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
     """Isomorphism classes of a generated set on the contiguous {1..n}."""
     entries = aeset.entries
-    perms = list(canon.all_perms(n))
+    relabels = canon.relabelings(n)
     classes: list = []
     rep_of: dict = {}
     for form in entries:
         if form in rep_of:
             continue
-        members = canon.orbit(form, perms)
+        members = canon.orbit(form, relabels)
         if not members <= entries.keys():
             raise RuntimeError(f"generated set not closed under relabeling of {form!r}")
         # stored instances: find() results compare by identity, and no

@@ -19,7 +19,8 @@ defined counts as a domain extension and is flagged rather than silently
 kept or dropped.
 
 Each hit class is keyed once: the first hit of a class takes the orbit of
-its form, and every hit in that orbit shares the key.
+its form, and every hit in that orbit shares the key.  The orbits of one
+solve share one ``canon.relabelings`` list.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
         if N * tq == D * tp and (N or D):
             hits.append(form)
     assignment = {i + 1: query.numbers[i] for i in range(n)}
-    perms = list(canon.all_perms(n))
+    relabels = canon.relabelings(n)
     key_of = dict.fromkeys(hits)  # hit form -> class key, once its class is seen
     solutions: list = []
     for form in hits:
@@ -134,7 +135,7 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
             break
         key = key_of[form]
         if key is None:
-            members = canon.orbit(form, perms)
+            members = canon.orbit(form, relabels)
             key = canon.orbit_key(form, members)
             for g in members:
                 if g in key_of:

@@ -10,7 +10,7 @@ import pytest
 
 from arithex import InputError, canon, mpoly, oracle, solver
 from arithex.cli import main
-from arithex.counting import class_counts
+from arithex.counting import BREAKDOWN_MAX_N, class_counts
 from arithex.exprtree import DuplicateVariable, ExprSyntaxError, parse, to_canon
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +90,16 @@ def test_count_breakdown_json_validates():
     assert payload["total"] == 294
     nonzero = [tuple(t["factors"]) for t in payload["terms"] if t["value"]]
     assert nonzero == [(2, 6), (6, 5), (30, 2), (192, 1)]
+
+
+def test_count_breakdown_at_size_bound():
+    # the largest cell a breakdown traces, with its p(40) partition terms
+    n = BREAKDOWN_MAX_N
+    code, out = run_cli("count", "--max-n", str(n), f"--breakdown=+,first,{n}")
+    assert code == 0
+    lines = out.splitlines()
+    assert sum(1 for line in lines if line.split()[0] == "partition") > 30000
+    assert lines[-1] == f"total: {class_counts(n).cell(n, '+', 1)}"
 
 
 def test_count_breakdown_bad_cell():
@@ -189,6 +199,7 @@ def test_solve_bad_input_exit_code(argv):
         ("oracle", "--n", "7", "--deep"),
         ("verify", "--max-n", "6"),
         ("count", "--max-n", "6", "--breakdown", "+,first,6", "--format", "csv"),
+        ("count", "--max-n", f"{BREAKDOWN_MAX_N + 1}", f"--breakdown=/,first,{BREAKDOWN_MAX_N + 1}"),
     ],
 )
 def test_input_errors_exit_2(argv):

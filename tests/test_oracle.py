@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from arithex import canon, reference
@@ -87,6 +89,50 @@ def test_orbit_classes_match_orbit_keys(family4):
             cls = class_of[orbits.find(f)]
             assert cls.key == canon.orbit_key(f)
             assert len(canon.orbit(f)) == cls.size
+
+
+def test_orbit_relabeling_tables_match_apply_perm(family4):
+    # one relabelings(k) list serves every form of size k, so the monomial
+    # images filled for one form are reused by the next
+    for k in range(1, 5):
+        relabels = canon.relabelings(k)
+        perms = list(canon.all_perms(k))
+        for f in family4.full_set(k).entries:
+            assert canon.orbit(f, relabels) == {canon.apply_perm(p, f) for p in perms}
+
+
+def test_recorded_decompositions_recombine_to_their_form(family4):
+    # the build takes every product through its one table; a one-off
+    # combine through a fresh table must give the same form
+    for aeset in family4.sets.values():
+        for form, entry in aeset.entries.items():
+            for op, a, b in entry.decomps:
+                res = canon.combine(op, a, b)
+                assert res == form and res.varset == form.varset
+
+
+def test_stored_forms_share_polynomials(family5):
+    polys = [
+        p
+        for aeset in family5.sets.values()
+        for form in aeset.entries
+        for p in (form.num, form.den)
+    ]
+    assert len({id(p) for p in polys}) == len(set(polys))
+
+
+def test_generate_memory_bound():
+    # tracemalloc peak of the n = 5 build: 35.8 MB when every form held its
+    # own polynomials, 18.5 MB with one polynomial table per build (Python
+    # 3.10-3.12); 24 MB leaves room for interpreter differences and fails
+    # if the sharing is lost
+    tracemalloc.start()
+    try:
+        generate(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24_000_000
 
 
 def test_compute_orbits_requires_closure(family4):
