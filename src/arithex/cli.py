@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -113,10 +114,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_fold_option_values(argv, _value_options(parser)))
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout, which ends the output; what is still
+        # buffered goes to /dev/null, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 # -- count --------------------------------------------------------------------

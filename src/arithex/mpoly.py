@@ -50,7 +50,7 @@ def _merge_disjoint(a: Monomial, b: Monomial) -> Monomial:
 class MultiPoly:
     """Immutable multilinear polynomial with canonical term order."""
 
-    __slots__ = ("terms", "_vars", "_content", "_hash")
+    __slots__ = ("terms", "_vars", "_content", "_text", "_hash")
 
     def __init__(self, terms: Iterable[tuple[Monomial, int]] = ()):
         # Trusted constructor: terms must already be sorted with distinct
@@ -58,6 +58,7 @@ class MultiPoly:
         self.terms = tuple(terms)
         self._vars = None
         self._content = None
+        self._text = None
         self._hash = hash(self.terms)
 
     @classmethod
@@ -179,8 +180,14 @@ class MultiPoly:
 
         Terms in lex order with single spaces around binary +/-, no leading
         ``+``, unit coefficients elided, the constant monomial as a bare
-        integer: ``x1*x2 - x1*x3*x5 + x2*x4 - x3*x4*x5``.
+        integer: ``x1*x2 - x1*x3*x5 + x2*x4 - x3*x4*x5``.  Computed once
+        per polynomial.
         """
+        if self._text is None:
+            self._text = self._serialize()
+        return self._text
+
+    def _serialize(self) -> str:
         if not self.terms:
             return "0"
         parts = []

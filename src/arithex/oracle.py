@@ -14,9 +14,12 @@ An isomorphism class is the set of relabelings of any one member, so the
 orbits of a full variable set are read off ``canon.orbit``: each form not
 yet placed starts a class whose members are its relabelings.  The
 generated set is closed under relabeling, so every member must be stored,
-and the least serialization over the members is the per-form orbit key.
-The orbits of one level share one ``canon.relabelings`` list, so each
-monomial is relabeled once per permutation.
+and the least serialization over the stored members is the per-form orbit
+key; stored members share their polynomials, whose text is cached, so each
+is serialized once.  The orbits of one level share one
+``canon.relabelings`` list, so each monomial is relabeled once per
+permutation.  ``Family.class_key`` keys one class the same way, on demand,
+and keeps the key on its members.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class ClassificationAmbiguous(RuntimeError):
 class AEntry:
     """A generated expression: canonical form plus every way it arose."""
 
-    __slots__ = ("form", "decomps", "endop", "typeclass", "_witness")
+    __slots__ = ("form", "decomps", "endop", "typeclass", "_witness", "_key")
 
     def __init__(self, form: CanonForm):
         self.form = form
@@ -71,6 +74,7 @@ class AEntry:
         self.endop: Optional[str] = None
         self.typeclass: Optional[int] = None
         self._witness = None
+        self._key: Optional[str] = None  # class key, once Family.class_key took it
 
 
 @dataclass
@@ -80,12 +84,18 @@ class AESet:
 
 
 class Family:
-    """Generated sets for every nonempty subset of {1..n}."""
+    """Generated sets for every nonempty subset of {1..n}.
+
+    What solving against the family needs and no puzzle changes is kept on
+    it, filled on first use: witness trees, class keys, and the solver's
+    witness programs.
+    """
 
     def __init__(self, n: int, ops: tuple):
         self.n = n
         self.ops = ops
         self.sets: dict = {}  # frozenset -> AESet
+        self._programs: dict = {}  # k -> solver witness program over {1..k}
 
     def full_set(self, k: Optional[int] = None) -> AESet:
         k = self.n if k is None else k
@@ -104,6 +114,20 @@ class Family:
                 op, left, right = entry.decomps[0]
                 entry._witness = Node(op, self.witness(left), self.witness(right))
         return entry._witness
+
+    def class_key(self, form: CanonForm, relabels: list) -> str:
+        """Orbit key of a form on a contiguous {1..k}, taken once per class:
+        the first call keys every stored member of the class.
+
+        relabels is canon.relabelings(k).
+        """
+        entry = self.entry_of(form)
+        if entry._key is None:
+            members = _stored_orbit(self.sets[form.varset].entries, form, relabels)
+            key = canon.orbit_key(form, [m.form for m in members])
+            for m in members:
+                m._key = key
+        return entry._key
 
 
 def generate(n: int, ops: str = "+-*/") -> Family:
@@ -190,6 +214,19 @@ class Orbits:
         return self.rep_of.get(form, form)
 
 
+def _stored_orbit(entries: dict, form: CanonForm, relabels: list) -> list:
+    """The stored entries of the class of form, a form on {1..n} of a
+    generated set, with relabels = canon.relabelings(n).
+
+    A generated set is closed under relabeling, so a member that is not
+    stored is a hard failure.
+    """
+    try:
+        return [entries[g] for g in canon.orbit(form, relabels)]
+    except KeyError:
+        raise RuntimeError(f"generated set not closed under relabeling of {form!r}") from None
+
+
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
     """Isomorphism classes of a generated set on the contiguous {1..n}."""
     entries = aeset.entries
@@ -199,14 +236,12 @@ def compute_orbits(aeset: AESet, n: int) -> Orbits:
     for form in entries:
         if form in rep_of:
             continue
-        members = canon.orbit(form, relabels)
-        if not members <= entries.keys():
-            raise RuntimeError(f"generated set not closed under relabeling of {form!r}")
-        # stored instances: find() results compare by identity, and no
-        # transient image outlives this class
-        rep = entries[min(members, key=canon.form_str)].form
+        # stored instances: find() results compare by identity, their
+        # polynomials are shared, so each is serialized once per build
+        members = [m.form for m in _stored_orbit(entries, form, relabels)]
+        rep = min(members, key=canon.form_str)
         for g in members:
-            rep_of[entries[g].form] = rep
+            rep_of[g] = rep
         classes.append(OrbitClass(key=canon.form_str(rep), rep=rep, size=len(members)))
     classes.sort(key=lambda c: c.key)
     return Orbits(classes, rep_of)

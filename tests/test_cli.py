@@ -1,6 +1,9 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import arithex
 from arithex import InputError, canon, mpoly, oracle, solver
 from arithex.cli import main
 from arithex.counting import BREAKDOWN_MAX_N, class_counts
@@ -240,6 +244,34 @@ def test_internal_failure_is_not_a_usage_error(exc, monkeypatch):
     monkeypatch.setattr(oracle, "compute_orbits", broken)
     with pytest.raises(type(exc)):
         main(["oracle", "--n", "2"])
+
+
+@pytest.mark.parametrize(
+    "argv,lines_read",
+    [
+        # about 250 kB of output, so the program is still writing at the close
+        (("count", "--max-n", "150"), 1),
+        # closed before any output: the last flush is the first write
+        (("solve", "--numbers", "1,5,6,7", "--target", "21"), 0),
+    ],
+)
+def test_closed_stdout_ends_output(argv, lines_read):
+    # a reader that stops early, as `arithex ... | head -1` does; stdout
+    # buffered, as it is by default on a pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(arithex.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arithex.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_option_values_starting_with_dash():

@@ -142,6 +142,8 @@ def test_text_format():
     assert C(-3).text() == "-3"
     assert P(((1,), -1), ((2,), 1)).text() == "-x1 + x2"
     assert P(((1,), 2), ((2, 3), -4)).text() == "2*x1 - 4*x2*x3"
+    p = P(((1,), 1), ((2,), 1))
+    assert p.text() is p.text()  # serialized once
 
 
 def test_disjoint_factors_simple():

@@ -144,6 +144,18 @@ def test_compute_orbits_requires_closure(family4):
         compute_orbits(AESet(aeset.subset, entries), 3)
 
 
+def test_class_key_requires_closure():
+    # Family.class_key checks closure as compute_orbits does
+    fam = generate(3)
+    aeset = fam.full_set(3)
+    reps = {c.rep for c in compute_orbits(aeset, 3).classes}
+    dropped = next(f for f in aeset.entries if f not in reps)
+    rep = next(r for r in reps if dropped in canon.orbit(r))
+    del aeset.entries[dropped]
+    with pytest.raises(RuntimeError, match="not closed under relabeling"):
+        fam.class_key(rep, canon.relabelings(3))
+
+
 def test_invariance_check_detects_a_changed_member():
     fam = generate(3)
     classify_endops(fam)

@@ -186,6 +186,52 @@ def test_solve_matches_reference(seed, family4):
                 assert got == _reference_payload(query, family4, hits), (numbers, target)
 
 
+def _payloads(query, family):
+    return [s.to_dict() for s in solve(query, family)]
+
+
+def test_family_state_keeps_no_puzzle_state(family4):
+    # programs and class keys kept on one family give, in any order of
+    # queries, what a fresh family gives for each query alone
+    queries = [
+        make_query(numbers, target, want_all=i % 2 == 0)
+        for i, (numbers, target) in enumerate(_seeded_puzzles(21, 16, family4))
+    ]
+    fresh = [_payloads(q, oracle.generate(4)) for q in queries]
+    shared = oracle.generate(4)
+    assert [_payloads(q, shared) for q in queries] == fresh
+    assert [_payloads(q, shared) for q in reversed(queries)] == fresh[::-1]
+    assert any(fresh)
+
+
+def test_larger_family_serves_fewer_numbers(family4):
+    family5 = oracle.generate(5)
+    puzzles = [p for p in _seeded_puzzles(22, 24, family4) if len(p[0]) >= 3]
+    assert {len(numbers) for numbers, _ in puzzles} == {3, 4}
+    for numbers, target in puzzles:
+        query = make_query(numbers, target, want_all=True)
+        own = oracle.generate(len(numbers))
+        assert _payloads(query, family5) == _payloads(query, own), (numbers, target)
+    assert set(family5._programs) == {3, 4}
+
+
+def test_cached_class_keys_are_orbit_keys():
+    family = oracle.generate(4)
+    sols = solve(make_query([0, 1, 2, 3], INF, want_all=True), family)
+    assert sols
+    keyed = [
+        (form, entry._key)
+        for aeset in family.sets.values()
+        for form, entry in aeset.entries.items()
+        if entry._key is not None
+    ]
+    assert {s.class_key for s in sols} <= {key for _, key in keyed}
+    for form, key in keyed:
+        assert key == canon.orbit_key(form)
+        # the first hit of a class keys every stored member
+        assert all(family.entry_of(g)._key == key for g in canon.orbit(form))
+
+
 def _all_trees(indices):
     if len(indices) == 1:
         yield Var(indices[0])
