@@ -212,7 +212,6 @@ def cmd_oracle(args) -> int:
         oracle.classify_endops(family)
         aeset = family.full_set()
         orbits = oracle.compute_orbits(aeset, args.n)
-        oracle.classify_types(aeset, orbits)
         cells = oracle.category_table(aeset, orbits)
         if args.dump:
             for record in oracle.dump_lines(family, aeset, orbits, args.n):

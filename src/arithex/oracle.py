@@ -11,15 +11,14 @@ and type, and cross-checks everything against the recurrence engine and
 the published reference values.
 
 An isomorphism class is the set of relabelings of any one member, so the
-orbits of a full variable set are read off ``canon.orbit``: each form not
-yet placed starts a class whose members are its relabelings.  The
-generated set is closed under relabeling, so every member must be stored,
-and the least serialization over the stored members is the per-form orbit
-key; stored members share their polynomials, whose text is cached, so each
-is serialized once.  The orbits of one level share one
-``canon.relabelings`` list, so each monomial is relabeled once per
-permutation.  ``Family.class_key`` keys one class the same way, on demand,
-and keeps the key on its members.
+classes of a full variable set are read off ``canon.orbit``.  One step
+writes a class: it takes one orbit, requires every member to be stored
+(the generated set is closed under relabeling), and sets one shared
+``OrbitClass`` on every member's entry, keyed by the least serialization
+over the stored members, whose shared polynomials are serialized once.
+``compute_orbits`` writes every class of a level with one
+``canon.relabelings`` list (each monomial relabeled once per permutation)
+and types the level; ``Family.class_key`` writes one class on demand.
 """
 
 from __future__ import annotations
@@ -66,15 +65,15 @@ class ClassificationAmbiguous(RuntimeError):
 class AEntry:
     """A generated expression: canonical form plus every way it arose."""
 
-    __slots__ = ("form", "decomps", "endop", "typeclass", "_witness", "_key")
+    __slots__ = ("form", "decomps", "endop", "typeclass", "cls", "_witness")
 
     def __init__(self, form: CanonForm):
         self.form = form
         self.decomps: list = []  # (op, left form, right form)
         self.endop: Optional[str] = None
         self.typeclass: Optional[int] = None
+        self.cls: Optional[OrbitClass] = None  # shared by the class's entries
         self._witness = None
-        self._key: Optional[str] = None  # class key, once Family.class_key took it
 
 
 @dataclass
@@ -87,7 +86,7 @@ class Family:
     """Generated sets for every nonempty subset of {1..n}.
 
     What solving against the family needs and no puzzle changes is kept on
-    it, filled on first use: witness trees, class keys, and the solver's
+    it, filled on first use: witness trees, classes, and the solver's
     witness programs.
     """
 
@@ -96,6 +95,7 @@ class Family:
         self.ops = ops
         self.sets: dict = {}  # frozenset -> AESet
         self._programs: dict = {}  # k -> solver witness program over {1..k}
+        self._relabels: dict = {}  # k -> canon.relabelings(k)
 
     def full_set(self, k: Optional[int] = None) -> AESet:
         k = self.n if k is None else k
@@ -115,19 +115,17 @@ class Family:
                 entry._witness = Node(op, self.witness(left), self.witness(right))
         return entry._witness
 
-    def class_key(self, form: CanonForm, relabels: list) -> str:
-        """Orbit key of a form on a contiguous {1..k}, taken once per class:
-        the first call keys every stored member of the class.
-
-        relabels is canon.relabelings(k).
-        """
+    def class_key(self, form: CanonForm) -> str:
+        """Orbit key of a form on a contiguous {1..k}.  The first call for a
+        class records it on every stored member, so a class is keyed once."""
         entry = self.entry_of(form)
-        if entry._key is None:
-            members = _stored_orbit(self.sets[form.varset].entries, form, relabels)
-            key = canon.orbit_key(form, [m.form for m in members])
-            for m in members:
-                m._key = key
-        return entry._key
+        if entry.cls is None:
+            k = len(form.varset)
+            relabels = self._relabels.get(k)
+            if relabels is None:
+                relabels = self._relabels[k] = canon.relabelings(k)
+            _record_class(self.sets[form.varset].entries, form, relabels)
+        return entry.cls.key
 
 
 def generate(n: int, ops: str = "+-*/") -> Family:
@@ -202,49 +200,51 @@ class OrbitClass:
 
 
 class Orbits:
-    def __init__(self, classes: list, rep_of: dict):
+    """The classes of one level, sorted by key; its entries carry them."""
+
+    def __init__(self, classes: list, entries: dict):
         self.classes = classes
-        self.rep_of = rep_of  # member form -> stored rep of its class
+        self._entries = entries
 
     def __len__(self) -> int:
         return len(self.classes)
 
     def find(self, form: CanonForm) -> CanonForm:
-        """The rep of form's class; a form outside the level is its own."""
-        return self.rep_of.get(form, form)
+        """The rep of the class of a stored form."""
+        return self._entries[form].cls.rep
 
 
-def _stored_orbit(entries: dict, form: CanonForm, relabels: list) -> list:
-    """The stored entries of the class of form, a form on {1..n} of a
-    generated set, with relabels = canon.relabelings(n).
+def _record_class(entries: dict, form: CanonForm, relabels: list) -> OrbitClass:
+    """Write the class of form, a form on {1..n} of a generated set, with
+    relabels = canon.relabelings(n): one OrbitClass, set on every member.
 
     A generated set is closed under relabeling, so a member that is not
     stored is a hard failure.
     """
     try:
-        return [entries[g] for g in canon.orbit(form, relabels)]
+        members = [entries[g] for g in canon.orbit(form, relabels)]
     except KeyError:
         raise RuntimeError(f"generated set not closed under relabeling of {form!r}") from None
+    # stored instances, whose shared polynomials cache their text
+    rep = min((m.form for m in members), key=canon.form_str)
+    cls = OrbitClass(key=canon.form_str(rep), rep=rep, size=len(members))
+    for m in members:
+        m.cls = cls
+    return cls
 
 
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
-    """Isomorphism classes of a generated set on the contiguous {1..n}."""
+    """Isomorphism classes of a generated set on the contiguous {1..n}, each
+    written afresh on its entries (so closure is checked on every call);
+    the entries come out typed."""
     entries = aeset.entries
     relabels = canon.relabelings(n)
-    classes: list = []
-    rep_of: dict = {}
-    for form in entries:
-        if form in rep_of:
-            continue
-        # stored instances: find() results compare by identity, their
-        # polynomials are shared, so each is serialized once per build
-        members = [m.form for m in _stored_orbit(entries, form, relabels)]
-        rep = min(members, key=canon.form_str)
-        for g in members:
-            rep_of[g] = rep
-        classes.append(OrbitClass(key=canon.form_str(rep), rep=rep, size=len(members)))
+    for entry in entries.values():
+        entry.cls = None
+    classes = [_record_class(entries, f, relabels) for f, e in entries.items() if e.cls is None]
     classes.sort(key=lambda c: c.key)
-    return Orbits(classes, rep_of)
+    classify_types(aeset)
+    return Orbits(classes, entries)
 
 
 # -- classification -----------------------------------------------------------
@@ -311,15 +311,15 @@ def _endop_of(form: CanonForm, entry: AEntry, family: Family) -> str:
     return fired.pop()
 
 
-def classify_types(aeset: AESet, orbits: Orbits) -> None:
-    """Type every entry of a full set: 1 if the negation is not present,
-    3 if it lands in the same orbit, else 2."""
+def classify_types(aeset: AESet) -> None:
+    """Type every entry of a full set whose classes are recorded: 1 if the
+    negation is not present, 3 if it lands in the same class, else 2."""
     entries = aeset.entries
     for form, entry in entries.items():
-        neg = canon.negate(form)
-        if neg not in entries:
+        neg = entries.get(canon.negate(form))
+        if neg is None:
             entry.typeclass = 1
-        elif orbits.find(form) is orbits.find(neg):
+        elif entry.cls is neg.cls:
             entry.typeclass = 3
         else:
             entry.typeclass = 2
@@ -409,7 +409,6 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
     for k in range(1, n_max + 1):
         aeset = family.full_set(k)
         orbits = compute_orbits(aeset, k)
-        classify_types(aeset, orbits)
         cells = category_table(aeset, orbits)
 
         if all_ops:

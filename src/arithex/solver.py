@@ -22,11 +22,12 @@ What depends only on the family is done once per family and kept on it.
 The first solve with n numbers compiles the witness trees of the forms on
 {1..n} into a program of integer steps, ``Family._programs[n]``: 33 737
 steps in about 0.6 MB at n = 5, 974 860 steps in about 18 MB at n = 6.
-The first hit of a class takes the orbit of its form once and keys every
-stored member (``Family.class_key``); keying all 500 classes at n = 5 adds
-about 0.75 MB, mostly cached polynomial text.  A puzzle then runs one loop
-over plain ints, and keeps only the set of class keys it has seen.  The
-first puzzle on a family costs about what a solve without this state does.
+The first hit of a class records the class on every stored member, as
+``oracle.compute_orbits`` does (``Family.class_key``); recording all 500
+classes at n = 5 adds about 0.85 MB, mostly cached polynomial text.  A
+puzzle then runs one loop over plain ints, and keeps only the set of class
+keys it has seen.  The first puzzle on a family costs about what a solve
+without this state does.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from . import canon, oracle
+from . import oracle
 from .errors import InputError
 from .exprtree import ExprTree, eval_tree, pretty
 from .projrat import INF, UNDEFINED, EvalResult, ProjValue, fmt
@@ -102,7 +103,7 @@ class _Program:
     operands.
     """
 
-    __slots__ = ("op", "left", "right", "proper", "entries", "relabels")
+    __slots__ = ("op", "left", "right", "proper", "entries")
 
     def __init__(self, family: oracle.Family, n: int):
         full = frozenset(range(1, n + 1))
@@ -129,7 +130,6 @@ class _Program:
                 self.left.append(next(iter(entry.form.varset)))
                 self.right.append(0)
         self.op = "".join(ops)
-        self.relabels = canon.relabelings(n)
 
     def hits(self, numbers: tuple, target: ProjValue) -> list:
         """The full-level entries whose form takes the target at the point
@@ -184,7 +184,7 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
     for entry in program.hits(query.numbers, query.target):
         if query.max_solutions is not None and len(solutions) >= query.max_solutions:
             break
-        key = family.class_key(entry.form, program.relabels)
+        key = family.class_key(entry.form)
         if key not in seen:
             seen.add(key)
         elif not query.want_all:

@@ -161,8 +161,7 @@ def suite_type2_pairing(seed, cases, family=None):
     pool = []
     for k in (2, 3, 4):
         aeset = family.full_set(k)
-        orbits = oracle.compute_orbits(aeset, k)
-        oracle.classify_types(aeset, orbits)
+        oracle.compute_orbits(aeset, k)
         pool.extend(aeset.entries.items())
     done = 0
     for _ in range(cases):

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Criterion 4's deep half (the six-variable exhaustive count) takes minutes
-and runs only when ARITHEX_DEEP=1 is set in the environment.
+The deep halves of criteria 4 and 5 (the six-variable exhaustive count and
+its classes) share one n = 6 build, take minutes and run only when
+ARITHEX_DEEP=1 is set in the environment.
 """
 
 import io
@@ -110,15 +111,23 @@ def test_criterion_04_identity_counts(family5_data):
     _report(4, "identity counts n<=5", f"built in {build_seconds:.2f}s")
 
 
-@pytest.mark.skipif(
+deep = pytest.mark.skipif(
     not os.environ.get("ARITHEX_DEEP"),
-    reason="six-variable exhaustive count runs only with ARITHEX_DEEP=1",
+    reason="six-variable exhaustive build runs only with ARITHEX_DEEP=1",
 )
-def test_criterion_04_deep_identity_count_n6():
+
+
+@pytest.fixture(scope="module")
+def family6_data():
     start = time.monotonic()
     family = oracle.generate(6)
+    return family, time.monotonic() - start
+
+
+@deep
+def test_criterion_04_deep_identity_count_n6(family6_data):
+    family, elapsed = family6_data
     count = oracle.identity_count(family, 6)
-    elapsed = time.monotonic() - start
     assert count == 793002
     assert elapsed < 1800.0
     _report(4, "deep identity count n=6", f"{elapsed:.1f}s")
@@ -130,7 +139,6 @@ def test_criterion_05_oracle_vs_engine(family5_data, engine17):
     for k in range(1, 6):
         aeset = family.full_set(k)
         orbits = oracle.compute_orbits(aeset, k)
-        oracle.classify_types(aeset, orbits)
         assert len(orbits) == engine17.total(k)
         cells = oracle.category_table(aeset, orbits)
         for op in "+-*/":
@@ -139,6 +147,24 @@ def test_criterion_05_oracle_vs_engine(family5_data, engine17):
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     _report(5, "oracle vs engine n<=5", f"{elapsed:.2f}s")
+
+
+@deep
+def test_criterion_05_deep_oracle_vs_engine_n6(family6_data):
+    family, _ = family6_data
+    start = time.monotonic()
+    oracle.classify_endops(family)
+    aeset = family.full_set(6)
+    orbits = oracle.compute_orbits(aeset, 6)
+    assert len(orbits) == 2844
+    assert sum(c.size for c in orbits.classes) == 793002
+    engine = counting.class_counts(6)
+    cells = oracle.category_table(aeset, orbits)
+    for op in "+-*/":
+        for t in (1, 2, 3):
+            assert cells[op][t] == engine.cell(6, op, t), (op, t)
+    elapsed = time.monotonic() - start
+    _report(5, "deep oracle vs engine n=6", f"{elapsed:.1f}s")
 
 
 def test_criterion_06_listings(family5_data):

@@ -128,6 +128,15 @@ def test_oracle_table(tmp_path):
     assert dump.read_text().splitlines() == lines
 
 
+def test_oracle_dump_golden(tmp_path):
+    # every class record of n = 5, byte for byte: key, witness, ending
+    # operator, type and orbit size
+    dump = tmp_path / "classes.jsonl"
+    code, _ = run_cli("oracle", "--n", "5", "--dump", str(dump))
+    assert code == 0
+    assert dump.read_bytes() == (GOLDEN / "oracle5_dump.jsonl").read_bytes()
+
+
 def test_oracle_json():
     code, out = run_cli("oracle", "--n", "2", "--format", "json")
     assert code == 0
@@ -353,7 +362,7 @@ def test_classify_json_matches_full_pipeline():
     family = oracle.generate(5)
     oracle.classify_endops(family)
     aeset = family.full_set(5)
-    oracle.classify_types(aeset, oracle.compute_orbits(aeset, 5))
+    oracle.compute_orbits(aeset, 5)
     types = set()
     for text in ("x1+x2+x3+x4+x5", "x1-x2*x3+x4/x5", "x1+x2*(x3-x4)-x5"):
         code, out = run_cli("classify", "--expr", text, "--json")

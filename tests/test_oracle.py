@@ -11,7 +11,6 @@ from arithex.oracle import (
     category_table,
     classify_endops,
     classify_type,
-    classify_types,
     compute_orbits,
     dump_lines,
     generate,
@@ -145,15 +144,16 @@ def test_compute_orbits_requires_closure(family4):
 
 
 def test_class_key_requires_closure():
-    # Family.class_key checks closure as compute_orbits does
+    # Family.class_key checks closure as compute_orbits does; the reps come
+    # from a separate family, since compute_orbits keys the family it runs on
     fam = generate(3)
     aeset = fam.full_set(3)
-    reps = {c.rep for c in compute_orbits(aeset, 3).classes}
+    reps = {c.rep for c in compute_orbits(generate(3).full_set(3), 3).classes}
     dropped = next(f for f in aeset.entries if f not in reps)
     rep = next(r for r in reps if dropped in canon.orbit(r))
     del aeset.entries[dropped]
     with pytest.raises(RuntimeError, match="not closed under relabeling"):
-        fam.class_key(rep, canon.relabelings(3))
+        fam.class_key(rep)
 
 
 def test_invariance_check_detects_a_changed_member():
@@ -161,7 +161,6 @@ def test_invariance_check_detects_a_changed_member():
     classify_endops(fam)
     aeset = fam.full_set(3)
     orbits = compute_orbits(aeset, 3)
-    classify_types(aeset, orbits)
     assert _check_invariance(aeset, orbits)
     reps = {c.rep for c in orbits.classes}
     entry = next(e for f, e in aeset.entries.items() if f not in reps)
@@ -249,7 +248,6 @@ def test_category_table_oracle_small(family4):
     for k in (1, 2, 3, 4):
         aeset = family4.full_set(k)
         orbits = compute_orbits(aeset, k)
-        classify_types(aeset, orbits)
         cells = category_table(aeset, orbits)
         for op in "+-*/":
             for t in (1, 2, 3):
@@ -258,8 +256,7 @@ def test_category_table_oracle_small(family4):
 
 def test_types_agree_between_pipeline_and_search(family4):
     aeset = family4.full_set(3)
-    orbits = compute_orbits(aeset, 3)
-    classify_types(aeset, orbits)
+    compute_orbits(aeset, 3)
     for form_, entry in aeset.entries.items():
         assert entry.typeclass == classify_type(form_, aeset.entries)
 
@@ -314,8 +311,7 @@ def test_product_type_characterization(family4):
         return [f]
 
     aeset = family4.full_set(4)
-    orbits = compute_orbits(aeset, 4)
-    classify_types(aeset, orbits)
+    compute_orbits(aeset, 4)
     for form_, entry in aeset.entries.items():
         if entry.endop != "*" or len(form_.varset) == 1:
             continue
@@ -337,8 +333,7 @@ def test_quotient_type_characterization(family4):
     # /-ending: third type iff monic and numerator or denominator class is
     # third type (over +,-,* pools)
     aeset = family4.full_set(4)
-    orbits = compute_orbits(aeset, 4)
-    classify_types(aeset, orbits)
+    compute_orbits(aeset, 4)
     checked = 0
     for form_, entry in aeset.entries.items():
         if entry.endop != "/":
@@ -372,7 +367,6 @@ def test_quotient_type_characterization(family4):
 def test_dump_lines(family4):
     aeset = family4.full_set(3)
     orbits = compute_orbits(aeset, 3)
-    classify_types(aeset, orbits)
     lines = list(dump_lines(family4, aeset, orbits, 3))
     assert len(lines) == 18
     for rec in lines:

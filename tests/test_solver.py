@@ -220,16 +220,40 @@ def test_cached_class_keys_are_orbit_keys():
     sols = solve(make_query([0, 1, 2, 3], INF, want_all=True), family)
     assert sols
     keyed = [
-        (form, entry._key)
+        (form, entry.cls.key)
         for aeset in family.sets.values()
         for form, entry in aeset.entries.items()
-        if entry._key is not None
+        if entry.cls is not None
     ]
     assert {s.class_key for s in sols} <= {key for _, key in keyed}
     for form, key in keyed:
         assert key == canon.orbit_key(form)
         # the first hit of a class keys every stored member
-        assert all(family.entry_of(g)._key == key for g in canon.orbit(form))
+        assert all(family.entry_of(g).cls.key == key for g in canon.orbit(form))
+
+
+def test_solved_family_shares_class_records(monkeypatch):
+    # the records solve writes are the ones compute_orbits writes: after a
+    # few puzzles the level classifies as a fresh family's does, and keys
+    # stay keyed
+    family = oracle.generate(4)
+    sols = [
+        sol
+        for numbers, target in (([1, 5, 6, 7], 21), ([0, 1, 2, 3], INF), ([3, 3, 8, 8], 24))
+        for sol in solve(make_query(numbers, target, want_all=True), family)
+    ]
+    assert sols
+    orbits = oracle.compute_orbits(family.full_set(4), 4)
+    assert orbits.classes == oracle.compute_orbits(oracle.generate(4).full_set(4), 4).classes
+    for sol in sols:
+        assert family.entry_of(to_canon(sol.witness)).cls.key == sol.class_key
+
+    def no_orbit(*args):
+        raise AssertionError("class keyed again")
+
+    monkeypatch.setattr(canon, "orbit", no_orbit)
+    for form, entry in family.full_set(4).entries.items():
+        assert family.class_key(form) == entry.cls.key
 
 
 def _all_trees(indices):
