@@ -16,10 +16,15 @@ verified disjoint-variable factorization.
 Work repeated across a build is done once.  ``combine`` takes its
 products from a ``mpoly.PolyTable`` and stores the result's numerator and
 denominator in it, so an exhaustive build that passes one table computes
-each product once and keeps one copy of each polynomial.  ``relabelings(n)``
+each product once and keeps one copy of each polynomial.  ``Relabelings(n)``
 pairs each permutation of {1..n} with a table of monomial images, so the
 orbits of many forms of one size relabel each monomial once per
 permutation.
+
+An orbit is walked once per twin-cell transversal.  Variables that a
+transposition automorphism swaps form twin cells; relabelings that differ
+only within cells give the same image, so ``orbit`` applies one per coset:
+the relabelings increasing on every cell, listed once per cell pattern.
 """
 
 from __future__ import annotations
@@ -100,10 +105,14 @@ def _normalized(
 ) -> CanonForm:
     """Apply the two normalizations, joint content gcd and monic
     denominator, and take num and den from the table."""
-    c = gcd(num.content(), den.content())
+    # gcd(x, 1) = 1, so the numerator's content is read only when the
+    # denominator's is not 1
+    c = den.content()
     if c > 1:
-        num = num.divide_content(c)
-        den = den.divide_content(c)
+        c = gcd(num.content(), c)
+        if c > 1:
+            num = num.divide_content(c)
+            den = den.divide_content(c)
     if not den.is_monic():
         num, den = -num, -den
     if varset is None:
@@ -165,6 +174,27 @@ def negate(f: CanonForm) -> CanonForm:
     return CanonForm(-f.num, f.den, f.varset)
 
 
+def swap_operands(op: str, f: CanonForm, table: Optional[PolyTable] = None) -> CanonForm:
+    """combine(op, h, g) from f = combine(op, g, h), for op - or /.
+
+    h - g is f with its numerator negated over the same monic denominator;
+    h / g is f with numerator and denominator swapped, both signs flipped
+    if the new denominator is not monic.  No product is taken, and the
+    result's num and den are stored in table as combine stores them.
+    """
+    if op == "-":
+        num, den = -f.num, f.den
+    elif op == "/":
+        num, den = f.den, f.num
+        if not den.is_monic():
+            num, den = -num, -den
+    else:
+        raise ValueError(f"operator {op!r} has no swapped-operand rule")
+    if table is None:
+        table = PolyTable()
+    return CanonForm(table.intern(num), table.intern(den), f.varset)
+
+
 def is_monic_form(f: CanonForm) -> bool:
     return f.num.is_monic()
 
@@ -199,14 +229,44 @@ def all_perms(n: int) -> Iterator[dict]:
         yield dict(zip(base, image))
 
 
-def relabelings(n: int) -> list:
+class Relabelings:
     """Every permutation of {1..n}, each paired with its table of monomial
-    images, filled as monomials are relabeled.
+    images, filled as monomials are relabeled; and, per partition of
+    {1..n} into cells, the transversal: the pairs whose permutation is
+    increasing on every cell, listed on first use.
 
-    Callers that relabel many forms of one size pass this list, so each
-    monomial is relabeled once per permutation.
+    Callers that relabel many forms of one size share one object, so each
+    monomial is relabeled once per permutation and each transversal is
+    listed once.
     """
-    return [(perm, {}) for perm in all_perms(n)]
+
+    __slots__ = ("n", "pairs", "_swaps", "_transversals")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pairs = [(perm, {}) for perm in all_perms(n)]
+        self._swaps: dict = {}  # (i, j) -> pair of the transposition of i and j
+        for pair in self.pairs:
+            moved = tuple(k for k, v in pair[0].items() if k != v)
+            if len(moved) == 2:
+                self._swaps[moved] = pair
+        self._transversals: dict = {}  # cells -> pairs increasing on each cell
+
+    def swap(self, i: int, j: int) -> tuple:
+        """The pair of the transposition of i < j."""
+        return self._swaps[i, j]
+
+    def transversal(self, cells: tuple) -> list:
+        """The pairs increasing on every cell, a cell an increasing tuple."""
+        pairs = self._transversals.get(cells)
+        if pairs is None:
+            steps = [(a, b) for cell in cells for a, b in zip(cell, cell[1:])]
+            pairs = self._transversals[cells] = [
+                (perm, images)
+                for perm, images in self.pairs
+                if all(perm[a] < perm[b] for a, b in steps)
+            ]
+        return pairs
 
 
 def _relabel_terms(terms, perm: Permutation, images: dict) -> list:
@@ -295,19 +355,49 @@ def is_isomorphic(f: CanonForm, g: CanonForm) -> Optional[dict]:
     return None
 
 
-def orbit(f: CanonForm, relabels: Optional[list] = None) -> set:
+def _twin_cells(f: CanonForm, relabels: Relabelings) -> tuple:
+    """The twin cells of f on {1..n}, increasing tuples in order of their
+    least variable: i and j share a cell iff swapping x_i and x_j fixes f.
+
+    Twins form an equivalence, since (i k) = (i j)(j k)(i j), so each
+    variable is tested only against the later ones not yet in a cell: at
+    most n(n-1)/2 transposition tests.
+    """
+    varset = f.varset
+    placed: set = set()
+    cells = []
+    for i in range(1, relabels.n + 1):
+        if i in placed:
+            continue
+        cell = [i]
+        for j in range(i + 1, relabels.n + 1):
+            if j not in placed:
+                perm, images = relabels.swap(i, j)
+                if _relabel(f, perm, images, varset) == f:
+                    cell.append(j)
+                    placed.add(j)
+        cells.append(tuple(cell))
+    return tuple(cells)
+
+
+def orbit(f: CanonForm, relabels: Optional[Relabelings] = None) -> set:
     """The isomorphism class of f: its distinct images under every
     relabeling of {1..n}.
 
-    Two forms are isomorphic iff each lies in the other's orbit.  relabels
-    defaults to a fresh relabelings(n); callers that take many orbits of
-    one size pass one list to every call.
+    Two forms are isomorphic iff each lies in the other's orbit.  Only the
+    relabelings increasing on every twin cell of f are applied: the cells'
+    symmetric groups make a subgroup H of the automorphisms of f, and
+    every permutation is t∘h with h in H and t increasing on the cells, so
+    these images are the whole orbit.  relabels defaults to a fresh
+    Relabelings(n); callers that take many orbits of one size pass one
+    object to every call.
     """
     n = _require_contiguous(f)
     if relabels is None:
-        relabels = relabelings(n)
+        relabels = Relabelings(n)
     varset = f.varset
-    return {_relabel(f, perm, images, varset) for perm, images in relabels}
+    transversal = relabels.transversal(_twin_cells(f, relabels))
+    return {_relabel(f, perm, images, varset) for perm, images in transversal}
 
 
 def orbit_key(f: CanonForm, members: Optional[Iterable[CanonForm]] = None) -> str:

@@ -17,8 +17,9 @@ writes a class: it takes one orbit, requires every member to be stored
 ``OrbitClass`` on every member's entry, keyed by the least serialization
 over the stored members, whose shared polynomials are serialized once.
 ``compute_orbits`` writes every class of a level with one
-``canon.relabelings`` list (each monomial relabeled once per permutation)
-and types the level; ``Family.class_key`` writes one class on demand.
+``canon.Relabelings`` object (each monomial relabeled once per
+permutation, each twin-cell transversal listed once) and types the level;
+``Family.class_key`` writes one class on demand.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class Family:
         self.ops = ops
         self.sets: dict = {}  # frozenset -> AESet
         self._programs: dict = {}  # k -> solver witness program over {1..k}
-        self._relabels: dict = {}  # k -> canon.relabelings(k)
+        self._relabels: dict = {}  # k -> canon.Relabelings(k)
 
     def full_set(self, k: Optional[int] = None) -> AESet:
         k = self.n if k is None else k
@@ -123,7 +124,7 @@ class Family:
             k = len(form.varset)
             relabels = self._relabels.get(k)
             if relabels is None:
-                relabels = self._relabels[k] = canon.relabelings(k)
+                relabels = self._relabels[k] = canon.Relabelings(k)
             _record_class(self.sets[form.varset].entries, form, relabels)
         return entry.cls.key
 
@@ -136,12 +137,17 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     containing the least element first), with both operand orders for - and
     /.  Every entry records each (op, left, right) that produced it, in
     that order; the first is its witness.
+
+    Each operand pair is combined once per operator, in the order (left
+    side, right side).  The reversed results of - and /, the negation and
+    the reciprocal of the ones just combined, come from
+    ``canon.swap_operands``.
     """
     if not 1 <= n <= MAX_N:
         raise LimitExceeded(f"n={n} outside 1..{MAX_N}")
     ops_t = _ops_tuple(ops)
     family = Family(n, ops_t)
-    combine = canon.combine
+    combine, swap_operands = canon.combine, canon.swap_operands
     table = PolyTable()
     for size in range(1, n + 1):
         for subset in combinations(range(1, n + 1), size):
@@ -163,18 +169,20 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 for e1 in left_entries:
                     for e2 in right_entries:
                         for op in ops_t:
-                            if op in "+*":
-                                ordered = ((e1, e2),)
-                            else:
-                                ordered = ((e1, e2), (e2, e1))
-                            for fa, fb in ordered:
-                                res = combine(op, fa, fb, varset=fs, table=table)
-                                entry = entries.get(res)
-                                if entry is None:
-                                    entry = entries[res] = AEntry(res)
-                                entry.decomps.append((op, fa, fb))
+                            res = combine(op, e1, e2, varset=fs, table=table)
+                            _record(entries, res, (op, e1, e2))
+                            if op in "-/":
+                                res = swap_operands(op, res, table)
+                                _record(entries, res, (op, e2, e1))
             family.sets[fs] = AESet(subset, entries)
     return family
+
+
+def _record(entries: dict, form: CanonForm, decomp: tuple) -> None:
+    entry = entries.get(form)
+    if entry is None:
+        entry = entries[form] = AEntry(form)
+    entry.decomps.append(decomp)
 
 
 def _ops_tuple(ops: str) -> tuple:
@@ -214,9 +222,9 @@ class Orbits:
         return self._entries[form].cls.rep
 
 
-def _record_class(entries: dict, form: CanonForm, relabels: list) -> OrbitClass:
+def _record_class(entries: dict, form: CanonForm, relabels: canon.Relabelings) -> OrbitClass:
     """Write the class of form, a form on {1..n} of a generated set, with
-    relabels = canon.relabelings(n): one OrbitClass, set on every member.
+    relabels = canon.Relabelings(n): one OrbitClass, set on every member.
 
     A generated set is closed under relabeling, so a member that is not
     stored is a hard failure.
@@ -238,7 +246,7 @@ def compute_orbits(aeset: AESet, n: int) -> Orbits:
     written afresh on its entries (so closure is checked on every call);
     the entries come out typed."""
     entries = aeset.entries
-    relabels = canon.relabelings(n)
+    relabels = canon.Relabelings(n)
     for entry in entries.values():
         entry.cls = None
     classes = [_record_class(entries, f, relabels) for f, e in entries.items() if e.cls is None]

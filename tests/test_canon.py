@@ -5,6 +5,7 @@ import pytest
 from arithex.canon import (
     CanonForm,
     NonContiguousVariables,
+    Relabelings,
     OverlappingVariables,
     VariableNotPresent,
     all_perms,
@@ -18,9 +19,11 @@ from arithex.canon import (
     is_isomorphic,
     is_monic_form,
     negate,
+    orbit,
     orbit_key,
     reduce_quotient,
     relabel_contiguous,
+    swap_operands,
 )
 from arithex.exprtree import parse, to_canon
 from arithex.mpoly import MultiPoly
@@ -80,6 +83,25 @@ def test_negate():
     assert not is_monic_form(h)
 
 
+@pytest.mark.parametrize(
+    "f, g", [("x1", "x2"), ("x1+x3", "x2*x4"), ("x1-x3", "x2/x4"), ("x2/(x1-x3)", "x4")]
+)
+@pytest.mark.parametrize("op", ["-", "/"])
+def test_swap_operands_matches_reversed_combine(op, f, g):
+    # the reversed result is derived without a product, and keeps the
+    # denominator monic: (x2/(x1-x3)) / x4 swaps to x4*(x1-x3) over -x2
+    f, g = form(f), form(g)
+    swapped = swap_operands(op, combine(op, f, g))
+    expected = combine(op, g, f)
+    assert swapped == expected and swapped.varset == expected.varset
+    assert swapped.den.is_monic()
+
+
+def test_swap_operands_rejects_symmetric_ops():
+    with pytest.raises(ValueError):
+        swap_operands("+", form("x1+x2"))
+
+
 def test_is_monic_form_examples():
     assert is_monic_form(form("(x3-x2)/(x5*x4-x1)"))
     assert not is_monic_form(negate(form("x1/x2")))
@@ -130,6 +152,26 @@ def test_orbit_key():
     assert orbit_key(form("x2-x1")) == orbit_key(form("x1-x2"))
     assert orbit_key(form("x1*x2+x3")) == orbit_key(form("x1+x2*x3"))
     assert orbit_key(form("x1+x2")) != orbit_key(form("x1-x2"))
+
+
+@pytest.mark.parametrize(
+    "text, walked",
+    [
+        # (1 3)(2 4) is an automorphism but no transposition is: 24 walked
+        ("(x1-x2)*(x3-x4)", 24),
+        # twin cells {1,2}, {3,4}, {5,6}; the cell swaps are automorphisms
+        # too, but not twin transpositions: 720/8 walked, 15 images
+        ("(x1+x2)*(x3+x4)*(x5+x6)", 90),
+        # one cell: one relabeling walked, one image
+        ("x1*x2*x3*x4*x5*x6*x7", 1),
+    ],
+)
+def test_orbit_walks_one_relabeling_per_twin_coset(text, walked):
+    f = form(text)
+    n = len(f.varset)
+    relabels = Relabelings(n)
+    assert orbit(f, relabels) == {apply_perm(p, f) for p in all_perms(n)}
+    assert sum(len(pairs) for pairs in relabels._transversals.values()) == walked
 
 
 def test_assign_zero_form_case():

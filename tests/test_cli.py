@@ -137,6 +137,13 @@ def test_oracle_dump_golden(tmp_path):
     assert dump.read_bytes() == (GOLDEN / "oracle5_dump.jsonl").read_bytes()
 
 
+def test_verify5_golden():
+    # every check line of the n = 5 verification, all four operators, seed 0
+    code, out = run_cli("verify", "--max-n", "5")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "verify5.txt").read_bytes()
+
+
 def test_oracle_json():
     code, out = run_cli("oracle", "--n", "2", "--format", "json")
     assert code == 0

@@ -1,9 +1,11 @@
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
 from arithex import canon, reference
 from arithex.exprtree import parse, pretty, to_canon
+from arithex.mpoly import PolyTable
 from arithex.oracle import (
     AESet,
     LimitExceeded,
@@ -91,10 +93,10 @@ def test_orbit_classes_match_orbit_keys(family4):
 
 
 def test_orbit_relabeling_tables_match_apply_perm(family4):
-    # one relabelings(k) list serves every form of size k, so the monomial
+    # one Relabelings(k) serves every form of size k, so the monomial
     # images filled for one form are reused by the next
     for k in range(1, 5):
-        relabels = canon.relabelings(k)
+        relabels = canon.Relabelings(k)
         perms = list(canon.all_perms(k))
         for f in family4.full_set(k).entries:
             assert canon.orbit(f, relabels) == {canon.apply_perm(p, f) for p in perms}
@@ -120,6 +122,61 @@ def test_stored_forms_share_polynomials(family5):
     assert len({id(p) for p in polys}) == len(set(polys))
 
 
+def _reference_generate(n, ops):
+    """The generation loop with every result through canon.combine: each
+    op on each operand pair, and both operand orders for - and /.  Returns
+    per subset its entries as (form, varset, decomps), in order."""
+    table = PolyTable()
+    sets = {}
+    for size in range(1, n + 1):
+        for subset in combinations(range(1, n + 1), size):
+            fs = frozenset(subset)
+            if size == 1:
+                a = canon.atom(subset[0], table)
+                sets[fs] = (subset, {a: []})
+                continue
+            entries = {}
+            first, rest = subset[0], subset[1:]
+            for mask in range(2 ** len(rest) - 1):
+                left = frozenset((first, *(v for i, v in enumerate(rest) if mask >> i & 1)))
+                for e1 in sets[left][1]:
+                    for e2 in sets[fs - left][1]:
+                        for op in "+-*/":
+                            if op not in ops:
+                                continue
+                            orders = ((e1, e2),) if op in "+*" else ((e1, e2), (e2, e1))
+                            for fa, fb in orders:
+                                res = canon.combine(op, fa, fb, varset=fs, table=table)
+                                entries.setdefault(res, []).append((op, fa, fb))
+            sets[fs] = (subset, entries)
+    return [
+        (subset, [(f, f.varset, decomps) for f, decomps in entries.items()])
+        for subset, entries in sets.values()
+    ]
+
+
+def _generated(family):
+    return [
+        (aeset.subset, [(f, f.varset, e.decomps) for f, e in aeset.entries.items()])
+        for aeset in family.sets.values()
+    ]
+
+
+@pytest.mark.parametrize(
+    "ops", ["".join(c) for r in range(1, 5) for c in combinations("+-*/", r)]
+)
+def test_generate_matches_reference_loop(ops):
+    # swapped - and / results are derived, not combined: subsets, entries,
+    # decompositions and their order must not change
+    assert _generated(generate(4, ops)) == _reference_generate(4, ops)
+
+
+def test_generate_matches_reference_loop_n5(family5):
+    assert _generated(family5) == _reference_generate(5, "+-*/")
+    polys = [p for aeset in family5.sets.values() for f in aeset.entries for p in (f.num, f.den)]
+    assert len(set(polys)) == len({id(p) for p in polys}) == 5843
+
+
 def test_generate_memory_bound():
     # tracemalloc peak of the n = 5 build: 35.8 MB when every form held its
     # own polynomials, 18.5 MB with one polynomial table per build (Python
@@ -132,6 +189,30 @@ def test_generate_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 24_000_000
+
+
+def test_orbits_of_class_reps_match_apply_perm(family5):
+    # the twin-cell transversal reaches every image of all k! relabelings
+    for k in range(1, 6):
+        aeset = family5.full_set(k)
+        relabels = canon.Relabelings(k)
+        perms = list(canon.all_perms(k))
+        for cls in compute_orbits(aeset, k).classes:
+            assert canon.orbit(cls.rep, relabels) == {canon.apply_perm(p, cls.rep) for p in perms}
+
+
+def test_compute_orbits_requires_closure_of_twin_classes():
+    # (x1+x2)*(x3+x4) has twin cells {1,2}, {3,4}; the member dropped is the
+    # last stored of its class, so the walk from the first reaches it only
+    # through a relabeling that is not the identity
+    aeset = generate(4).full_set(4)
+    f = form("(x1+x2)*(x3+x4)")
+    members = canon.orbit(f)
+    assert len(members) == 3
+    dropped = [g for g in aeset.entries if g in members][-1]
+    entries = {g: e for g, e in aeset.entries.items() if g != dropped}
+    with pytest.raises(RuntimeError, match="not closed under relabeling"):
+        compute_orbits(AESet(aeset.subset, entries), 4)
 
 
 def test_compute_orbits_requires_closure(family4):
