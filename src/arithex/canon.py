@@ -21,6 +21,10 @@ pairs each permutation of {1..n} with a table of monomial images, so the
 orbits of many forms of one size relabel each monomial once per
 permutation.
 
+Searches start from one variable partition, the signature cells, which no
+relabeling changes: ``is_isomorphic`` maps each cell of one form onto the
+same cell of the other, and ``_twin_cells`` tests swaps within a cell.
+
 An orbit is walked once per twin-cell transversal.  Variables that a
 transposition automorphism swaps form twin cells; relabelings that differ
 only within cells give the same image, so ``orbit`` applies one per coset:
@@ -33,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .mpoly import ONE, MultiPoly, PolyTable, disjoint_factors
 from .projrat import EvalResult, UNDEFINED, p_div
@@ -305,53 +309,40 @@ def _require_contiguous(f: CanonForm) -> int:
     return n
 
 
-def _var_signature(f: CanonForm, v: int):
-    """Invariant of a variable under relabeling and global sign flips."""
-    return (
-        tuple(sorted((len(m), abs(c)) for m, c in f.num.terms if v in m)),
-        tuple(sorted((len(m), abs(c)) for m, c in f.den.terms if v in m)),
-    )
-
-
-def _structure_invariant(f: CanonForm):
-    return (
-        tuple(sorted((len(m), abs(c)) for m, c in f.num.terms)),
-        tuple(sorted((len(m), abs(c)) for m, c in f.den.terms)),
-    )
+def _signature_cells(f: CanonForm, n: int) -> dict:
+    """The variables of f on {1..n} by signature, each list increasing: the
+    sorted (degree, |coefficient|) of the num and of the den terms holding
+    the variable, unchanged by relabeling and by a global sign flip."""
+    cells: dict = {}
+    for v in range(1, n + 1):
+        sig = tuple(
+            tuple(sorted((len(m), abs(c)) for m, c in p.terms if v in m)) for p in (f.num, f.den)
+        )
+        cells.setdefault(sig, []).append(v)
+    return cells
 
 
 def is_isomorphic(f: CanonForm, g: CanonForm) -> Optional[dict]:
     """A permutation sigma with apply_perm(sigma, f) == g, or None.
 
     Both forms must live on the contiguous variable set {1..n}.  The search
-    enumerates only bijections that respect per-variable occurrence
-    signatures, which prunes the bulk of S_n at the sizes this library
-    targets.
+    tries only the bijections that map each signature cell of f onto the
+    cell of g with the same signature, which prunes the bulk of S_n at the
+    sizes this library targets.
     """
     n = _require_contiguous(f)
     if _require_contiguous(g) != n:
         return None
-    if _structure_invariant(f) != _structure_invariant(g):
+    cells_f, cells_g = _signature_cells(f, n), _signature_cells(g, n)
+    sigs = sorted(cells_f)
+    if sigs != sorted(cells_g) or any(len(cells_f[sig]) != len(cells_g[sig]) for sig in sigs):
         return None
-    by_sig_f: dict = {}
-    by_sig_g: dict = {}
-    for v in range(1, n + 1):
-        by_sig_f.setdefault(_var_signature(f, v), []).append(v)
-        by_sig_g.setdefault(_var_signature(g, v), []).append(v)
-    if set(by_sig_f) != set(by_sig_g):
-        return None
-    sigs = sorted(by_sig_f)
-    for sig in sigs:
-        if len(by_sig_f[sig]) != len(by_sig_g[sig]):
-            return None
-    for images in itertools.product(
-        *(itertools.permutations(by_sig_g[sig]) for sig in sigs)
-    ):
+    for images in itertools.product(*(itertools.permutations(cells_g[sig]) for sig in sigs)):
         perm = {}
         for sig, image in zip(sigs, images):
-            perm.update(zip(by_sig_f[sig], image))
+            perm.update(zip(cells_f[sig], image))
         if apply_perm(perm, f) == g:
-            return {k: v for k, v in perm.items() if k != v}
+            return make_perm(perm)
     return None
 
 
@@ -359,24 +350,26 @@ def _twin_cells(f: CanonForm, relabels: Relabelings) -> tuple:
     """The twin cells of f on {1..n}, increasing tuples in order of their
     least variable: i and j share a cell iff swapping x_i and x_j fixes f.
 
-    Twins form an equivalence, since (i k) = (i j)(j k)(i j), so each
-    variable is tested only against the later ones not yet in a cell: at
-    most n(n-1)/2 transposition tests.
+    Twins share a signature, so only pairs within a signature cell are
+    tested.  Twins form an equivalence, since (i k) = (i j)(j k)(i j), so
+    the least variable of a signature cell not yet in a twin cell is tested
+    against the rest once: m - 1 tests for a signature cell of m twins, at
+    most m(m-1)/2 for any m variables.
     """
     varset = f.varset
-    placed: set = set()
     cells = []
-    for i in range(1, relabels.n + 1):
-        if i in placed:
-            continue
-        cell = [i]
-        for j in range(i + 1, relabels.n + 1):
-            if j not in placed:
+    for untested in _signature_cells(f, relabels.n).values():
+        while untested:
+            i, *rest = untested
+            cell, untested = [i], []
+            for j in rest:
                 perm, images = relabels.swap(i, j)
                 if _relabel(f, perm, images, varset) == f:
                     cell.append(j)
-                    placed.add(j)
-        cells.append(tuple(cell))
+                else:
+                    untested.append(j)
+            cells.append(tuple(cell))
+    cells.sort()
     return tuple(cells)
 
 
@@ -400,19 +393,17 @@ def orbit(f: CanonForm, relabels: Optional[Relabelings] = None) -> set:
     return {_relabel(f, perm, images, varset) for perm, images in transversal}
 
 
-def orbit_key(f: CanonForm, members: Optional[Iterable[CanonForm]] = None) -> str:
+def orbit_key(f: CanonForm) -> str:
     """Lexicographically least serialization over the orbit of f.
 
-    Equal keys iff the forms are isomorphic.  A caller that already holds
-    orbit(f) passes it as members.
+    Equal keys iff the forms are isomorphic.
     """
-    return min(form_str(g) for g in (orbit(f) if members is None else members))
+    return min(form_str(g) for g in orbit(f))
 
 
-def relabel_contiguous(f: CanonForm) -> tuple[CanonForm, dict]:
+def relabel_contiguous(f: CanonForm) -> CanonForm:
     """Order-preserving relabeling of the variable set onto {1..k}."""
-    mapping = {v: i for i, v in enumerate(sorted(f.varset), start=1)}
-    return apply_perm(mapping, f), mapping
+    return apply_perm({v: i for i, v in enumerate(sorted(f.varset), start=1)}, f)
 
 
 # -- evaluation and zero assignment -----------------------------------------

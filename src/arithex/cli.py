@@ -120,11 +120,15 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout, which ends the output; what is still
-        # buffered goes to /dev/null, so the flush at exit cannot fail
+    except OSError as exc:
+        # a failed write to stdout: a closed pipe ends the output, any other
+        # failure (a full disk) is an error; what is still buffered goes to
+        # /dev/null, so the flush at exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 # -- count --------------------------------------------------------------------
@@ -202,20 +206,20 @@ def cmd_oracle(args) -> int:
         hint = "" if args.deep else f" (use --deep for n = {oracle.MAX_N})"
         raise InputError(f"--n must be within 1..{limit}{hint}")
     oracle.check_classifiable(args.ops)
-    # opened before the build, so an unwritable path fails in no time
+    # opened before the build, so an unwritable path fails in no time; a
+    # failed open, write or close is the same input error
     try:
-        dump = open(args.dump, "w", encoding="utf-8") if args.dump else nullcontext()
+        with open(args.dump, "w", encoding="utf-8") if args.dump else nullcontext() as dump:
+            family = oracle.generate(args.n, ops=args.ops)
+            oracle.classify_endops(family)
+            aeset = family.full_set()
+            orbits = oracle.compute_orbits(aeset, args.n)
+            cells = oracle.category_table(orbits)
+            if args.dump:
+                for record in oracle.dump_lines(family, orbits):
+                    dump.write(json.dumps(record) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write --dump file {args.dump!r}: {exc.strerror}") from None
-    with dump:
-        family = oracle.generate(args.n, ops=args.ops)
-        oracle.classify_endops(family)
-        aeset = family.full_set()
-        orbits = oracle.compute_orbits(aeset, args.n)
-        cells = oracle.category_table(aeset, orbits)
-        if args.dump:
-            for record in oracle.dump_lines(family, aeset, orbits, args.n):
-                dump.write(json.dumps(record) + "\n")
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -310,7 +314,7 @@ def cmd_classify(args) -> int:
     work = form
     n = len(form.varset)
     if form.varset != frozenset(range(1, n + 1)):
-        work, _ = canon.relabel_contiguous(form)
+        work = canon.relabel_contiguous(form)
         relabeled = True
     endop = typeclass = None
     if n <= ORACLE_DEFAULT_MAX_N:
@@ -321,7 +325,7 @@ def cmd_classify(args) -> int:
     iso = None
     if args.against:
         other = to_canon(parse_expr(args.against))
-        other_work, _ = canon.relabel_contiguous(other)
+        other_work = canon.relabel_contiguous(other)
         iso = (
             canon.is_isomorphic(work, other_work) is not None
             if len(other_work.varset) == n

@@ -19,7 +19,8 @@ over the stored members, whose shared polynomials are serialized once.
 ``compute_orbits`` writes every class of a level with one
 ``canon.Relabelings`` object (each monomial relabeled once per
 permutation, each twin-cell transversal listed once) and types the level;
-``Family.class_key`` writes one class on demand.
+``Family.class_key`` writes one class on demand.  The readers of a level
+take the ``Orbits`` of ``compute_orbits`` and read each class record.
 """
 
 from __future__ import annotations
@@ -208,18 +209,19 @@ class OrbitClass:
 
 
 class Orbits:
-    """The classes of one level, sorted by key; its entries carry them."""
+    """A classified level: its classes, sorted by key, and its entries
+    (CanonForm -> AEntry), each carrying its class record as entry.cls."""
 
     def __init__(self, classes: list, entries: dict):
         self.classes = classes
-        self._entries = entries
+        self.entries = entries
 
     def __len__(self) -> int:
         return len(self.classes)
 
     def find(self, form: CanonForm) -> CanonForm:
         """The rep of the class of a stored form."""
-        return self._entries[form].cls.rep
+        return self.entries[form].cls.rep
 
 
 def _record_class(entries: dict, form: CanonForm, relabels: canon.Relabelings) -> OrbitClass:
@@ -338,26 +340,26 @@ def classify_type(form: CanonForm, entries: dict) -> int:
     neg = canon.negate(form)
     if neg not in entries:
         return 1
-    f, _ = canon.relabel_contiguous(form)
-    g, _ = canon.relabel_contiguous(neg)
+    f = canon.relabel_contiguous(form)
+    g = canon.relabel_contiguous(neg)
     return 3 if canon.is_isomorphic(f, g) is not None else 2
 
 
-def category_table(aeset: AESet, orbits: Orbits) -> dict:
+def category_table(orbits: Orbits) -> dict:
     """The twelve per-operator, per-type class counts of a classified level."""
     cells = {op: {1: 0, 2: 0, 3: 0} for op in _OP_ORDER}
     for cls in orbits.classes:
-        entry = aeset.entries[cls.rep]
+        entry = orbits.entries[cls.rep]
         cells[entry.endop][entry.typeclass] += 1
     return cells
 
 
-def dump_lines(family: Family, aeset: AESet, orbits: Orbits, n: int) -> Iterator[dict]:
-    """One JSON-ready record per class of the given level."""
+def dump_lines(family: Family, orbits: Orbits) -> Iterator[dict]:
+    """One JSON-ready record per class of a classified level, n its size."""
     for cls in orbits.classes:
-        entry = aeset.entries[cls.rep]
+        entry = orbits.entries[cls.rep]
         yield {
-            "n": n,
+            "n": len(cls.rep.varset),
             "class": cls.key,
             "witness": pretty(family.witness(cls.rep)),
             "endop": entry.endop,
@@ -417,7 +419,7 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
     for k in range(1, n_max + 1):
         aeset = family.full_set(k)
         orbits = compute_orbits(aeset, k)
-        cells = category_table(aeset, orbits)
+        cells = category_table(orbits)
 
         if all_ops:
             expected = reference.IDENTITY_COUNTS.get(k)
@@ -449,7 +451,7 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
             k,
             sum(c.size for c in orbits.classes) == len(aeset.entries),
         )
-        report.add("type2-negation-pairing", k, _check_type2_pairing(aeset, orbits))
+        report.add("type2-negation-pairing", k, _check_type2_pairing(orbits))
         report.add(
             "type2-pool-evenness",
             k,
@@ -458,10 +460,10 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
                 for pool in (("*",), ("/",), ("+", "-"))
             ),
         )
-        report.add("classification-invariance", k, _check_invariance(aeset, orbits))
+        report.add("classification-invariance", k, _check_invariance(orbits))
 
         if all_ops and k == 3:
-            report.add("three-var-identity-listing", k, _check_three_var_listing(aeset))
+            report.add("three-var-identity-listing", k, _check_three_var_listing(aeset.entries))
             report.add("three-var-class-listing", k, _check_class_listing(
                 orbits, reference.THREE_VAR_CLASSES))
         if sp_ops and k == 4:
@@ -476,43 +478,38 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
     return report
 
 
-def _check_type2_pairing(aeset: AESet, orbits: Orbits) -> bool:
-    """Negation must match type-2 classes into disjoint pairs."""
-    type2_roots = set()
-    pairing = {}
+def _check_type2_pairing(orbits: Orbits) -> bool:
+    """Negation must match type-2 classes into disjoint pairs: the negated
+    rep of a type-2 class lies in another type-2 class, whose negated rep
+    lies in the first."""
+    entries = orbits.entries
     for cls in orbits.classes:
-        if aeset.entries[cls.rep].typeclass != 2:
+        if entries[cls.rep].typeclass != 2:
             continue
-        root = orbits.find(cls.rep)
-        neg = canon.negate(cls.rep)
-        if neg not in aeset.entries:
+        neg = entries.get(canon.negate(cls.rep))
+        if neg is None or neg.cls is cls or entries[neg.cls.rep].typeclass != 2:
             return False
-        neg_root = orbits.find(neg)
-        if neg_root is root:
+        back = entries.get(canon.negate(neg.cls.rep))
+        if back is None or back.cls is not cls:
             return False
-        type2_roots.add(root)
-        pairing[root] = neg_root
-    for root, neg_root in pairing.items():
-        if neg_root not in type2_roots or pairing.get(neg_root) is not root:
-            return False
-    return len(type2_roots) % 2 == 0
+    return True
 
 
-def _check_invariance(aeset: AESet, orbits: Orbits) -> bool:
+def _check_invariance(orbits: Orbits) -> bool:
     """Ending operator and type must agree across each class."""
-    entries = aeset.entries
-    for form, entry in entries.items():
-        rep_entry = entries[orbits.find(form)]
+    entries = orbits.entries
+    for entry in entries.values():
+        rep_entry = entries[entry.cls.rep]
         if entry.endop != rep_entry.endop or entry.typeclass != rep_entry.typeclass:
             return False
     return True
 
 
-def _check_three_var_listing(aeset: AESet) -> bool:
+def _check_three_var_listing(entries: dict) -> bool:
     from .exprtree import parse, to_canon
 
     expected = {to_canon(parse(t)) for t in reference.THREE_VAR_EXPRESSIONS}
-    return len(expected) == 68 and expected == set(aeset.entries)
+    return len(expected) == 68 and expected == set(entries)
 
 
 def _check_class_listing(orbits: Orbits, listed: list) -> bool:
@@ -524,7 +521,8 @@ def _check_class_listing(orbits: Orbits, listed: list) -> bool:
 
 def _check_class_operations(family: Family, rng: random.Random) -> bool:
     """Combining stays well defined on classes: isomorphic operands with
-    disjoint variables give isomorphic results."""
+    disjoint variables give isomorphic results.  Both results, relabeled
+    onto {1..k}, must be stored in the classified level k with one class."""
     if family.n < 2:
         return True
     subsets = [s for s in family.sets if 0 < len(s) < family.n]
@@ -541,9 +539,10 @@ def _check_class_operations(family: Family, rng: random.Random) -> bool:
         f2 = canon.apply_perm(_random_perm_of(left, rng), f)
         g2 = canon.apply_perm(_random_perm_of(right, rng), g)
         op = rng.choice(family.ops)
-        a, _ = canon.relabel_contiguous(canon.combine(op, f, g))
-        b, _ = canon.relabel_contiguous(canon.combine(op, f2, g2))
-        if canon.is_isomorphic(a, b) is None:
+        a = canon.relabel_contiguous(canon.combine(op, f, g))
+        b = canon.relabel_contiguous(canon.combine(op, f2, g2))
+        entries = family.full_set(len(a.varset)).entries
+        if a not in entries or b not in entries or entries[a].cls is not entries[b].cls:
             return False
     return True
 

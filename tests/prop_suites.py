@@ -148,8 +148,8 @@ def suite_class_operation_compatibility(seed, cases):
         f2 = apply_perm(random_perm(rng, range(1, na + 1)), f)
         g2 = apply_perm(random_perm(rng, range(na + 1, na + nb + 1)), g)
         op = rng.choice("+-*/")
-        a, _ = canon.relabel_contiguous(combine(op, f, g))
-        b, _ = canon.relabel_contiguous(combine(op, f2, g2))
+        a = canon.relabel_contiguous(combine(op, f, g))
+        b = canon.relabel_contiguous(combine(op, f2, g2))
         assert is_isomorphic(a, b) is not None
     return cases
 

@@ -134,13 +134,15 @@ def test_isomorphic_worked_example():
 
 
 def test_isomorphic_product_example():
-    f, _ = relabel_contiguous(form("(x1+x2)*(x3-x4)"))
-    g, _ = relabel_contiguous(form("(x4-x1)*(x5+x3)"))
+    f = relabel_contiguous(form("(x1+x2)*(x3-x4)"))
+    g = relabel_contiguous(form("(x4-x1)*(x5+x3)"))
     assert is_isomorphic(f, g) is not None
 
 
 def test_not_isomorphic():
     assert is_isomorphic(form("x1+x2"), form("x1-x2")) is None
+    # equal signature cells, yet no bijection of them maps one onto the other
+    assert is_isomorphic(form("(x1+x2)*(x3+x4)"), form("(x1-x2)*(x3-x4)")) is None
 
 
 def test_isomorphic_requires_contiguous():

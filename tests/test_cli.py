@@ -290,6 +290,36 @@ def test_closed_stdout_ends_output(argv, lines_read):
     assert err == b""
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+def test_full_dump_file_is_an_input_error():
+    # /dev/full opens, and the write or the close of the dump fails
+    with redirect_stderr(io.StringIO()) as err:
+        code, out = run_cli("oracle", "--n", "1", "--dump", "/dev/full")
+    assert code == 2
+    assert out == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write --dump file"), lines
+
+
+@needs_dev_full
+def test_full_stdout_is_an_input_error():
+    env = dict(os.environ, PYTHONPATH=str(Path(arithex.__file__).parents[1]))
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "arithex.cli", "count", "--max-n", "5"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write to stdout"), lines
+
+
 def test_option_values_starting_with_dash():
     with redirect_stderr(io.StringIO()) as err:
         code, _ = run_cli("verify", "--max-n", "3", "--ops", "-*")

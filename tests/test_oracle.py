@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -9,7 +10,10 @@ from arithex.mpoly import PolyTable
 from arithex.oracle import (
     AESet,
     LimitExceeded,
+    OrbitClass,
+    _check_class_operations,
     _check_invariance,
+    _check_type2_pairing,
     category_table,
     classify_endops,
     classify_type,
@@ -201,6 +205,27 @@ def test_orbits_of_class_reps_match_apply_perm(family5):
             assert canon.orbit(cls.rep, relabels) == {canon.apply_perm(p, cls.rep) for p in perms}
 
 
+def _brute_twin_cells(f):
+    # i ~ j iff swapping x_i and x_j fixes f, over every pair
+    varset = sorted(f.varset)
+    twins = {
+        i: tuple(j for j in varset if j == i or canon.apply_perm({i: j, j: i}, f) == f)
+        for i in varset
+    }
+    return tuple(sorted(set(twins.values())))
+
+
+def test_twin_cells_match_brute_force(family5):
+    forms = [form("(x1-x2)*(x3-x4)"), form("x1*x2*x3*x4*x5*x6*x7")]
+    for k in range(1, 6):
+        forms += [cls.rep for cls in compute_orbits(family5.full_set(k), k).classes]
+    relabels = {}
+    for f in forms:
+        k = len(f.varset)
+        relabels.setdefault(k, canon.Relabelings(k))
+        assert canon._twin_cells(f, relabels[k]) == _brute_twin_cells(f), f
+
+
 def test_compute_orbits_requires_closure_of_twin_classes():
     # (x1+x2)*(x3+x4) has twin cells {1,2}, {3,4}; the member dropped is the
     # last stored of its class, so the walk from the first reaches it only
@@ -242,11 +267,32 @@ def test_invariance_check_detects_a_changed_member():
     classify_endops(fam)
     aeset = fam.full_set(3)
     orbits = compute_orbits(aeset, 3)
-    assert _check_invariance(aeset, orbits)
+    assert _check_invariance(orbits)
     reps = {c.rep for c in orbits.classes}
     entry = next(e for f, e in aeset.entries.items() if f not in reps)
     entry.endop = next(op for op in "+-*/" if op != entry.endop)
-    assert not _check_invariance(aeset, orbits)
+    assert not _check_invariance(orbits)
+
+
+def test_type2_pairing_check_detects_a_self_paired_class():
+    fam = generate(4)
+    classify_endops(fam)
+    orbits = compute_orbits(fam.full_set(4), 4)
+    assert _check_type2_pairing(orbits)
+    cls = next(c for c in orbits.classes if orbits.entries[c.rep].typeclass == 2)
+    orbits.entries[canon.negate(cls.rep)].cls = cls
+    assert not _check_type2_pairing(orbits)
+
+
+def test_class_operation_check_detects_split_classes():
+    fam = generate(4)
+    classify_endops(fam)
+    for k in range(1, 5):
+        compute_orbits(fam.full_set(k), k)
+    assert _check_class_operations(fam, random.Random(0))
+    for f, entry in fam.full_set(4).entries.items():
+        entry.cls = OrbitClass(key=canon.form_str(f), rep=f, size=1)
+    assert not _check_class_operations(fam, random.Random(0))
 
 
 def test_series_parallel_fragment():
@@ -329,7 +375,7 @@ def test_category_table_oracle_small(family4):
     for k in (1, 2, 3, 4):
         aeset = family4.full_set(k)
         orbits = compute_orbits(aeset, k)
-        cells = category_table(aeset, orbits)
+        cells = category_table(orbits)
         for op in "+-*/":
             for t in (1, 2, 3):
                 assert cells[op][t] == reference.CATEGORY_TABLES[k][op][t], (k, op, t)
@@ -358,7 +404,7 @@ def test_sum_decomposition_flattening(family4):
                     parts.extend(summand_keys(side))
                 else:
                     assert side_end in "*/", f"{side!r} inside a sum ends {side_end}"
-                    rel, _ = canon.relabel_contiguous(side)
+                    rel = canon.relabel_contiguous(side)
                     parts.append(canon.orbit_key(rel))
             options.add(tuple(sorted(parts)))
         assert options, f"{f!r} ends + but has no + decomposition"
@@ -448,7 +494,7 @@ def test_quotient_type_characterization(family4):
 def test_dump_lines(family4):
     aeset = family4.full_set(3)
     orbits = compute_orbits(aeset, 3)
-    lines = list(dump_lines(family4, aeset, orbits, 3))
+    lines = list(dump_lines(family4, orbits))
     assert len(lines) == 18
     for rec in lines:
         assert rec["n"] == 3
