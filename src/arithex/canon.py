@@ -13,13 +13,17 @@ guards with randomized functional-equality checks.  Zero assignment is the
 one operation that can surface a common factor, and it cancels factors via
 verified disjoint-variable factorization.
 
-Work repeated across a build is done once.  ``combine`` takes its
-products from a ``mpoly.PolyTable`` and stores the result's numerator and
-denominator in it, so an exhaustive build that passes one table computes
-each product once and keeps one copy of each polynomial.  ``Relabelings(n)``
-pairs each permutation of {1..n} with a table of monomial images, so the
-orbits of many forms of one size relabel each monomial once per
-permutation.
+Work repeated across a build is done once.  ``combine_pair`` combines
+one operand pair under several operators in one pass: it takes each cross
+product the operators need once from a ``mpoly.PolyTable``, builds the
+``+`` and ``-`` numerators in one merge (``MultiPoly.add_sub``), and
+stores each result's numerator and denominator in the table, so an
+exhaustive build that passes one table computes each product once and
+keeps one copy of each polynomial.  ``combine`` is its one-operator call.
+A form hashes its polynomials' cached hashes, so hashing a form reads
+no term.  ``Relabelings(n)`` pairs each permutation of {1..n} with
+a table of monomial images, so the orbits of many forms of one size
+relabel each monomial once per permutation.
 
 Searches start from one variable partition, the signature cells, which no
 relabeling changes: ``is_isomorphic`` maps each cell of one form onto the
@@ -72,7 +76,8 @@ class CanonForm:
         self.num = num
         self.den = den
         self.varset = varset
-        self._hash = hash((num.terms, den.terms))
+        # the polynomials' cached hashes; equality still compares the terms
+        self._hash = hash((num._hash, den._hash))
 
     def __eq__(self, other) -> bool:
         return (
@@ -126,22 +131,24 @@ def _normalized(
     return CanonForm(table.intern(num), table.intern(den), varset)
 
 
-def combine(
-    op: str,
+def combine_pair(
     f: CanonForm,
     g: CanonForm,
+    ops: tuple,
     varset: Optional[frozenset] = None,
     table: Optional[PolyTable] = None,
-) -> CanonForm:
-    """Combine two forms on disjoint variable sets with +, -, * or /.
+) -> list:
+    """``[(op, f op g) for op in ops]`` for two forms on disjoint variable
+    sets, each op one of +, -, * and /.
 
     Cross-multiplication rules, with f = F1/F2 and g = G1/G2:
     ``+ -> (F1*G2 + F2*G1)/(F2*G2)``, ``- -> (F1*G2 - F2*G1)/(F2*G2)``,
     ``* -> (F1*G1)/(F2*G2)``, ``/ -> (F1*G2)/(F2*G1)``.
 
-    Products come from table, and the result's num and den are stored in
-    it; a build passes its one table to every call, a one-off call gets a
-    fresh one.
+    The operators share their products: each one ops needs is taken from
+    table once, and the + and - numerators come from one merge.  The
+    results' num and den are stored in table; a build passes its one table
+    to every call, a one-off call gets a fresh one.
     """
     if varset is None:
         if f.varset & g.varset:
@@ -152,23 +159,40 @@ def combine(
     if table is None:
         table = PolyTable()
     product = table.product
-    if op == "+":
-        num = product(f.num, g.den) + product(f.den, g.num)
-        den = product(f.den, g.den)
-    elif op == "-":
-        num = product(f.num, g.den) - product(f.den, g.num)
-        den = product(f.den, g.den)
-    elif op == "*":
-        num = product(f.num, g.num)
-        den = product(f.den, g.den)
-    elif op == "/":
-        num = product(f.num, g.den)
-        den = product(f.den, g.num)
-    else:
-        raise ValueError(f"unknown operator {op!r}")
-    if not num:
-        raise NonAEResult(f"vanishing numerator combining {f!r} {op} {g!r}")
-    return _normalized(num, den, varset, table)
+    quotients = {}  # op -> (num, den) before normalization
+    sum_or_diff = "+" in ops or "-" in ops
+    if sum_or_diff or "/" in ops:
+        f1g2, f2g1 = product(f.num, g.den), product(f.den, g.num)
+        quotients["/"] = f1g2, f2g1
+    if sum_or_diff or "*" in ops:
+        f2g2 = product(f.den, g.den)
+        if sum_or_diff:
+            total, diff = f1g2.add_sub(f2g1)
+            quotients["+"], quotients["-"] = (total, f2g2), (diff, f2g2)
+        if "*" in ops:
+            quotients["*"] = product(f.num, g.num), f2g2
+    results = []
+    for op in ops:
+        quotient = quotients.get(op)
+        if quotient is None:
+            raise ValueError(f"unknown operator {op!r}")
+        num, den = quotient
+        if not num:
+            raise NonAEResult(f"vanishing numerator combining {f!r} {op} {g!r}")
+        results.append((op, _normalized(num, den, varset, table)))
+    return results
+
+
+def combine(
+    op: str,
+    f: CanonForm,
+    g: CanonForm,
+    varset: Optional[frozenset] = None,
+    table: Optional[PolyTable] = None,
+) -> CanonForm:
+    """f op g for two forms on disjoint variable sets: the one-operator
+    ``combine_pair``."""
+    return combine_pair(f, g, (op,), varset, table)[0][1]
 
 
 def negate(f: CanonForm) -> CanonForm:

@@ -210,22 +210,28 @@ def cmd_oracle(args) -> int:
     # failed open, write or close is the same input error
     try:
         with open(args.dump, "w", encoding="utf-8") if args.dump else nullcontext() as dump:
-            family = oracle.generate(args.n, ops=args.ops)
-            oracle.classify_endops(family)
-            aeset = family.full_set()
-            orbits = oracle.compute_orbits(aeset, args.n)
-            cells = oracle.category_table(orbits)
-            if args.dump:
-                for record in oracle.dump_lines(family, orbits):
-                    dump.write(json.dumps(record) + "\n")
+            with oracle._collector_paused():
+                family = oracle.generate(args.n, ops=args.ops)
+                oracle.classify_endops(family)
+                aeset = family.full_set()
+                orbits = oracle.compute_orbits(aeset, args.n)
+                cells = oracle.category_table(orbits)
+                if args.dump:
+                    for record in oracle.dump_lines(family, orbits):
+                        dump.write(json.dumps(record) + "\n")
+                ops = "".join(family.ops)
+                identity_count, orbit_count = len(aeset.entries), len(orbits)
+                # freed while the collector is off: once it is back on, its
+                # next passes would walk every form still alive
+                del family, aeset, orbits
     except OSError as exc:
         raise InputError(f"cannot write --dump file {args.dump!r}: {exc.strerror}") from None
     if args.format == "json":
         payload = {
             "n": args.n,
-            "ops": "".join(family.ops),
-            "identity_count": len(aeset.entries),
-            "orbit_count": len(orbits),
+            "ops": ops,
+            "identity_count": identity_count,
+            "orbit_count": orbit_count,
             "table": {
                 counting.OP_NAMES[op]: {
                     counting.TYPE_NAMES[t]: cells[op][t] for t in (1, 2, 3)
@@ -235,9 +241,9 @@ def cmd_oracle(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"n={args.n} ops={''.join(family.ops)}")
-        print(f"identity-distinct expressions: {len(aeset.entries)}")
-        print(f"classes up to relabeling:      {len(orbits)}")
+        print(f"n={args.n} ops={ops}")
+        print(f"identity-distinct expressions: {identity_count}")
+        print(f"classes up to relabeling:      {orbit_count}")
         header = "        " + "".join(op.rjust(8) for op in counting.OPS)
         print(header)
         for t in (1, 2, 3):

@@ -2,13 +2,22 @@
 
 Generates every constructible expression on each subset of {x1..xn} by
 closing the atoms under the four operations with disjoint variable sets,
-deduplicating by canonical form.  One polynomial table serves the whole
-build: each product of two operand polynomials is computed once, and the
-stored forms share one copy of each distinct polynomial.  The table is
-dropped when the build returns.  On top of the generated universe it
-computes isomorphism orbits, classifies representatives by ending operator
-and type, and cross-checks everything against the recurrence engine and
-the published reference values.
+deduplicating by canonical form.  Each operand pair is combined once,
+under every operator, by ``canon.combine_pair``.  One polynomial table
+serves the whole build: each product of two operand polynomials is
+computed once, and the stored forms share one copy of each distinct
+polynomial.  The table is dropped when the build returns.  On top of the
+generated universe it computes isomorphism orbits, classifies
+representatives by ending operator and type, and cross-checks everything
+against the recurrence engine and the published reference values.
+
+A build makes no reference cycles, yet while the family grows the cyclic
+garbage collector makes hundreds of passes over its newest objects and
+some over all of it.  ``verify`` therefore runs with the collector held
+off, as does the build of ``arithex oracle``; both drop the family before
+the collector is back on.  ``generate`` itself is not wrapped: the
+solver's family outlives the build, and the passes a re-enabled collector
+owes would then walk the whole family during the next puzzles.
 
 An isomorphism class is the set of relabelings of any one member, so the
 classes of a full variable set are read off ``canon.orbit``.  One step
@@ -25,7 +34,9 @@ take the ``Orbits`` of ``compute_orbits`` and read each class record.
 
 from __future__ import annotations
 
+import gc
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Optional
@@ -139,16 +150,16 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     /.  Every entry records each (op, left, right) that produced it, in
     that order; the first is its witness.
 
-    Each operand pair is combined once per operator, in the order (left
-    side, right side).  The reversed results of - and /, the negation and
-    the reciprocal of the ones just combined, come from
-    ``canon.swap_operands``.
+    Each operand pair is combined once under all the ops, in the order
+    (left side, right side), by ``canon.combine_pair``.  The reversed
+    results of - and /, the negation and the reciprocal of the ones just
+    combined, come from ``canon.swap_operands``.
     """
     if not 1 <= n <= MAX_N:
         raise LimitExceeded(f"n={n} outside 1..{MAX_N}")
     ops_t = _ops_tuple(ops)
     family = Family(n, ops_t)
-    combine, swap_operands = canon.combine, canon.swap_operands
+    combine_pair, swap_operands = canon.combine_pair, canon.swap_operands
     table = PolyTable()
     for size in range(1, n + 1):
         for subset in combinations(range(1, n + 1), size):
@@ -169,8 +180,7 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 right_entries = family.sets[right].entries
                 for e1 in left_entries:
                     for e2 in right_entries:
-                        for op in ops_t:
-                            res = combine(op, e1, e2, varset=fs, table=table)
+                        for op, res in combine_pair(e1, e2, ops_t, fs, table):
                             _record(entries, res, (op, e1, e2))
                             if op in "-/":
                                 res = swap_operands(op, res, table)
@@ -288,13 +298,14 @@ def classify_endops(family: Family) -> None:
     """
     # family.sets insertion order is by subset size, so operands of every
     # decomposition are already classified when their parent is reached
+    first_type: dict = {}  # right operand of a - -> is_first_type, each tested once
     for aeset in family.sets.values():
         for form, entry in aeset.entries.items():
             if entry.endop is None:
-                entry.endop = _endop_of(form, entry, family)
+                entry.endop = _endop_of(form, entry, family, first_type)
 
 
-def _endop_of(form: CanonForm, entry: AEntry, family: Family) -> str:
+def _endop_of(form: CanonForm, entry: AEntry, family: Family, first_type: dict) -> str:
     if len(form.varset) == 1:
         return "*"
     fired: set = set()
@@ -304,12 +315,12 @@ def _endop_of(form: CanonForm, entry: AEntry, family: Family) -> str:
         end_a = family.entry_of(fa).endop
         end_b = family.entry_of(fb).endop
         if op == "-":
-            if (
-                end_a in ("+", "*", "/")
-                and end_b in ("+", "*", "/")
-                and is_first_type(fb, family)
-            ):
-                fired.add("-")
+            if end_a in ("+", "*", "/") and end_b in ("+", "*", "/"):
+                first = first_type.get(fb)
+                if first is None:
+                    first = first_type[fb] = is_first_type(fb, family)
+                if first:
+                    fired.add("-")
         else:
             allowed = _END_RULES[op]
             if end_a in allowed and end_b in allowed:
@@ -399,6 +410,20 @@ class VerifyReport:
         return [c.line() for c in self.checks]
 
 
+@contextmanager
+def _collector_paused():
+    """Hold off the cyclic garbage collector for the block, then restore
+    the state it found, on return and on raise."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
     """Cross-check the generated universe against the engine and the
     published values; every mismatch becomes a failed check in the report."""

@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import json
@@ -151,6 +152,26 @@ def test_oracle_json():
     assert payload["identity_count"] == 6
     assert payload["orbit_count"] == 4
     assert payload["table"]["minus"]["third"] == 1
+
+
+def test_oracle_builds_with_the_collector_held_off(monkeypatch):
+    seen = []
+    build = oracle.generate
+
+    def generate(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "generate", generate)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        code, out = run_cli("oracle", "--n", "3", "--format", "json")
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == 0 and seen == [False]
+    assert json.loads(out)["identity_count"] == 68
 
 
 def test_oracle_depth_guard():

@@ -1,10 +1,11 @@
+import gc
 import random
 import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from arithex import canon, reference
+from arithex import canon, oracle, reference
 from arithex.exprtree import parse, pretty, to_canon
 from arithex.mpoly import PolyTable
 from arithex.oracle import (
@@ -114,6 +115,60 @@ def test_recorded_decompositions_recombine_to_their_form(family4):
             for op, a, b in entry.decomps:
                 res = canon.combine(op, a, b)
                 assert res == form and res.varset == form.varset
+
+
+def _cross_multiplied(op, f, g):
+    """f op g by the cross-multiplication rules, through MultiPoly's own
+    +, - and mul_disjoint and no table."""
+    f1, f2, g1, g2 = f.num, f.den, g.num, g.den
+    num, den = {
+        "+": (f1.mul_disjoint(g2) + f2.mul_disjoint(g1), f2.mul_disjoint(g2)),
+        "-": (f1.mul_disjoint(g2) - f2.mul_disjoint(g1), f2.mul_disjoint(g2)),
+        "*": (f1.mul_disjoint(g1), f2.mul_disjoint(g2)),
+        "/": (f1.mul_disjoint(g2), f2.mul_disjoint(g1)),
+    }[op]
+    return canon._normalized(num, den)
+
+
+@pytest.mark.parametrize(
+    "ops", ["".join(c) for r in range(1, 5) for c in combinations("+-*/", r)]
+)
+def test_combine_pair_matches_combine(family4, ops):
+    # random operand pairs on disjoint subsets; the results come in the
+    # order of ops, given as generate gives it and reversed
+    rng = random.Random(ops)
+    subsets = [s for s in family4.sets if len(s) < 4]
+    table = PolyTable()
+    for i in range(40):
+        left = rng.choice(subsets)
+        right = rng.choice([s for s in subsets if not s & left])
+        f = rng.choice(list(family4.sets[left].entries))
+        g = rng.choice(list(family4.sets[right].entries))
+        order = tuple(ops) if i % 2 else tuple(reversed(ops))
+        results = canon.combine_pair(f, g, order, table=table)
+        assert [op for op, _ in results] == list(order)
+        for op, res in results:
+            assert res == canon.combine(op, f, g) == _cross_multiplied(op, f, g)
+            assert res.varset == left | right
+
+
+def test_combine_pair_rejects_what_combine_rejects():
+    with pytest.raises(canon.OverlappingVariables):
+        canon.combine_pair(canon.atom(1), canon.atom(1), ("+", "*"))
+    with pytest.raises(ValueError, match="unknown operator '\\^'"):
+        canon.combine("^", canon.atom(1), canon.atom(2))
+
+
+def test_equal_forms_hash_alike_however_built(family4):
+    # stored forms hold the build table's polynomials, relabeled images
+    # fresh ones: an image must find the stored form equal to it
+    stored = {f: f for f in family4.full_set(4).entries}
+    perm = {1: 3, 2: 1, 3: 4, 4: 2}
+    for f in stored:
+        g = canon.apply_perm(perm, f)
+        assert g in stored
+        h = stored[g]
+        assert g.num is not h.num and g == h and hash(g) == hash(h)
 
 
 def test_stored_forms_share_polynomials(family5):
@@ -520,6 +575,29 @@ def test_verify_small_all_ops():
     assert "identity-count" in names
     assert "category-table-vs-engine" in names
     assert "three-var-identity-listing" in names
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_verify_holds_off_the_collector_and_restores_it(enabled, monkeypatch):
+    seen = []
+    build = oracle.generate
+
+    def generate(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "generate", generate)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert verify(2).ok
+        assert gc.isenabled() is enabled
+        with pytest.raises(LimitExceeded):
+            verify(7)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_verify_series_parallel():
