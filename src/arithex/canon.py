@@ -5,13 +5,21 @@ unique representation as a reduced quotient of two multilinear polynomials
 whose denominator is monic.  Equal forms mean identical functions, so the
 form serves as hash key, orbit key and evaluation vehicle throughout.
 
-Combining two forms with disjoint variable sets cross-multiplies and then
-renormalizes (joint content gcd, sign flip to keep the denominator monic).
-No polynomial gcd is taken there: with disjoint operand variables the
-cross product of reduced forms stays reduced, an assumption the test suite
-guards with randomized functional-equality checks.  Zero assignment is the
-one operation that can surface a common factor, and it cancels factors via
-verified disjoint-variable factorization.
+Combining two forms with disjoint variable sets cross-multiplies and
+flips both signs if the denominator is not monic; no other normalization
+is needed.  Every form built from atoms by + - * / has coefficients +-1
+and no monomial common to its numerator and denominator.  Atoms hold
+this, and the cross-multiplication rules keep it: with disjoint operand
+variables a monomial of a product splits one way only, as a|b with a
+from f and b from g, so two of the products could share a|b only if F1
+and F2 shared a or G1 and G2 shared b.  No two terms are ever added,
+every coefficient stays +-1, and the content is always 1; the test
+suite checks the invariant on every generated form.  No polynomial gcd is
+taken either: with disjoint operand variables the cross product of
+reduced forms stays reduced, an assumption the test suite guards with
+randomized functional-equality checks.  Zero assignment is
+the one operation that can surface a common factor, and it cancels
+content and factors via verified disjoint-variable factorization.
 
 Work repeated across a build is done once.  ``combine_pair`` combines
 one operand pair under several operators in one pass: it takes each cross
@@ -112,16 +120,8 @@ def _normalized(
     varset: Optional[frozenset] = None,
     table: Optional[PolyTable] = None,
 ) -> CanonForm:
-    """Apply the two normalizations, joint content gcd and monic
-    denominator, and take num and den from the table."""
-    # gcd(x, 1) = 1, so the numerator's content is read only when the
-    # denominator's is not 1
-    c = den.content()
-    if c > 1:
-        c = gcd(num.content(), c)
-        if c > 1:
-            num = num.divide_content(c)
-            den = den.divide_content(c)
+    """The form num/den with a monic denominator, num and den taken from
+    the table."""
     if not den.is_monic():
         num, den = -num, -den
     if varset is None:
@@ -205,22 +205,17 @@ def negate(f: CanonForm) -> CanonForm:
 def swap_operands(op: str, f: CanonForm, table: Optional[PolyTable] = None) -> CanonForm:
     """combine(op, h, g) from f = combine(op, g, h), for op - or /.
 
-    h - g is f with its numerator negated over the same monic denominator;
-    h / g is f with numerator and denominator swapped, both signs flipped
-    if the new denominator is not monic.  No product is taken, and the
-    result's num and den are stored in table as combine stores them.
+    h - g is f with its numerator negated; h / g is f with numerator and
+    denominator swapped.  No product is taken, and the result is
+    normalized and stored in table as combine's results are.
     """
     if op == "-":
         num, den = -f.num, f.den
     elif op == "/":
         num, den = f.den, f.num
-        if not den.is_monic():
-            num, den = -num, -den
     else:
         raise ValueError(f"operator {op!r} has no swapped-operand rule")
-    if table is None:
-        table = PolyTable()
-    return CanonForm(table.intern(num), table.intern(den), f.varset)
+    return _normalized(num, den, f.varset, table)
 
 
 def is_monic_form(f: CanonForm) -> bool:
@@ -242,12 +237,6 @@ def make_perm(mapping: Mapping[int, int]) -> dict:
     if len(set(cleaned.values())) != len(cleaned):
         raise ValueError(f"not injective: {mapping}")
     return cleaned
-
-
-def compose(s: Permutation, t: Permutation) -> dict:
-    """The permutation applying t first, then s."""
-    keys = set(s) | set(t)
-    return make_perm({k: s.get(t.get(k, k), t.get(k, k)) for k in keys})
 
 
 def all_perms(n: int) -> Iterator[dict]:

@@ -210,20 +210,7 @@ def cmd_oracle(args) -> int:
     # failed open, write or close is the same input error
     try:
         with open(args.dump, "w", encoding="utf-8") if args.dump else nullcontext() as dump:
-            with oracle._collector_paused():
-                family = oracle.generate(args.n, ops=args.ops)
-                oracle.classify_endops(family)
-                aeset = family.full_set()
-                orbits = oracle.compute_orbits(aeset, args.n)
-                cells = oracle.category_table(orbits)
-                if args.dump:
-                    for record in oracle.dump_lines(family, orbits):
-                        dump.write(json.dumps(record) + "\n")
-                ops = "".join(family.ops)
-                identity_count, orbit_count = len(aeset.entries), len(orbits)
-                # freed while the collector is off: once it is back on, its
-                # next passes would walk every form still alive
-                del family, aeset, orbits
+            ops, identity_count, orbit_count, cells = oracle.summarize(args.n, args.ops, dump)
     except OSError as exc:
         raise InputError(f"cannot write --dump file {args.dump!r}: {exc.strerror}") from None
     if args.format == "json":

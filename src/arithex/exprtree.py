@@ -204,9 +204,10 @@ def eval_tree(t: ExprTree, point: Mapping[int, ProjValue]) -> EvalResult:
 def to_canon(t: ExprTree) -> CanonForm:
     """Fold the tree into its canonical form, checking no variable is lost."""
     form = _fold(t)
-    if form.varset != tree_variables(t):
+    depends_on = form.num.variables() | form.den.variables()
+    if depends_on != tree_variables(t):
         raise DependencyLoss(
-            f"form depends on {sorted(form.varset)} but tree uses {sorted(tree_variables(t))}"
+            f"form depends on {sorted(depends_on)} but tree uses {sorted(tree_variables(t))}"
         )
     return form
 

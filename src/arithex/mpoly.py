@@ -50,14 +50,12 @@ def _merge_disjoint(a: Monomial, b: Monomial) -> Monomial:
 class MultiPoly:
     """Immutable multilinear polynomial with canonical term order."""
 
-    __slots__ = ("terms", "_vars", "_content", "_text", "_hash")
+    __slots__ = ("terms", "_text", "_hash")
 
     def __init__(self, terms: Iterable[tuple[Monomial, int]] = ()):
         # Trusted constructor: terms must already be sorted with distinct
         # monomials and nonzero coefficients.  Use from_dict otherwise.
         self.terms = tuple(terms)
-        self._vars = None
-        self._content = None
         self._text = None
         self._hash = hash(self.terms)
 
@@ -88,9 +86,7 @@ class MultiPoly:
         return f"MultiPoly({self.text()!r})"
 
     def variables(self) -> frozenset:
-        if self._vars is None:
-            self._vars = frozenset(v for m, _ in self.terms for v in m)
-        return self._vars
+        return frozenset(v for m, _ in self.terms for v in m)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         d = dict(self.terms)
@@ -170,9 +166,7 @@ class MultiPoly:
 
     def content(self) -> int:
         """gcd of the absolute coefficients; 0 for the zero polynomial."""
-        if self._content is None:
-            self._content = reduce(gcd, (abs(c) for _, c in self.terms), 0)
-        return self._content
+        return reduce(gcd, (abs(c) for _, c in self.terms), 0)
 
     def decompose(self, i: int) -> tuple["MultiPoly", "MultiPoly"]:
         """Split as ``x_i * head + tail`` with ``x_i`` absent from both parts.

@@ -13,9 +13,9 @@ against the recurrence engine and the published reference values.
 
 A build makes no reference cycles, yet while the family grows the cyclic
 garbage collector makes hundreds of passes over its newest objects and
-some over all of it.  ``verify`` therefore runs with the collector held
-off, as does the build of ``arithex oracle``; both drop the family before
-the collector is back on.  ``generate`` itself is not wrapped: the
+some over all of it.  ``verify`` and ``summarize``, the build behind
+``arithex oracle``, therefore run with the collector held off and drop the
+family before it is back on.  ``generate`` itself is not wrapped: the
 solver's family outlives the build, and the passes a re-enabled collector
 owes would then walk the whole family during the next puzzles.
 
@@ -35,6 +35,7 @@ take the ``Orbits`` of ``compute_orbits`` and read each class record.
 from __future__ import annotations
 
 import gc
+import json
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -52,8 +53,6 @@ MAX_N = 6
 
 # random operand pairs behind verify's class-operation-compatibility check
 _CLASS_OPERATION_SAMPLES = 100
-
-_OP_ORDER = "+-*/"
 
 # operand ending-operator sets that let a combination inherit the operator
 _END_RULES = {"+": ("+", "*", "/"), "*": ("-", "+", "*"), "/": ("+", "-", "*")}
@@ -198,14 +197,10 @@ def _record(entries: dict, form: CanonForm, decomp: tuple) -> None:
 
 def _ops_tuple(ops: str) -> tuple:
     """The operators of ops in +-*/ order; any other character is an input error."""
-    ops_t = tuple(op for op in _OP_ORDER if op in set(ops))
-    if not ops_t or set(ops) - set(_OP_ORDER):
+    ops_t = tuple(op for op in canon.OPS if op in set(ops))
+    if not ops_t or set(ops) - set(canon.OPS):
         raise InputError(f"ops must be a nonempty subset of '+-*/', got {ops!r}")
     return ops_t
-
-
-def identity_count(family: Family, k: Optional[int] = None) -> int:
-    return len(family.full_set(k).entries)
 
 
 # -- orbits -------------------------------------------------------------------
@@ -358,7 +353,7 @@ def classify_type(form: CanonForm, entries: dict) -> int:
 
 def category_table(orbits: Orbits) -> dict:
     """The twelve per-operator, per-type class counts of a classified level."""
-    cells = {op: {1: 0, 2: 0, 3: 0} for op in _OP_ORDER}
+    cells = {op: {1: 0, 2: 0, 3: 0} for op in canon.OPS}
     for cls in orbits.classes:
         entry = orbits.entries[cls.rep]
         cells[entry.endop][entry.typeclass] += 1
@@ -377,6 +372,37 @@ def dump_lines(family: Family, orbits: Orbits) -> Iterator[dict]:
             "type": entry.typeclass,
             "orbit_size": cls.size,
         }
+
+
+@contextmanager
+def _collector_paused():
+    """Hold off the cyclic garbage collector for the block, then restore
+    the state it found, on return and on raise."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
+def summarize(n: int, ops: str = "+-*/", dump=None) -> tuple:
+    """Build and classify the level n: its ops in +-*/ order, identity
+    count, class count and category table.  With a text file as dump, one
+    JSON line per class (``dump_lines``) is written to it.
+
+    The family is dropped on return, while the collector is still off.
+    """
+    family = generate(n, ops=ops)
+    classify_endops(family)
+    aeset = family.full_set()
+    orbits = compute_orbits(aeset, n)
+    if dump is not None:
+        for record in dump_lines(family, orbits):
+            dump.write(json.dumps(record) + "\n")
+    return "".join(family.ops), len(aeset.entries), len(orbits), category_table(orbits)
 
 
 # -- verification -------------------------------------------------------------
@@ -410,19 +436,6 @@ class VerifyReport:
         return [c.line() for c in self.checks]
 
 
-@contextmanager
-def _collector_paused():
-    """Hold off the cyclic garbage collector for the block, then restore
-    the state it found, on return and on raise."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 @_collector_paused()
 def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
     """Cross-check the generated universe against the engine and the
@@ -437,7 +450,7 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
     except (ClassificationEmpty, ClassificationAmbiguous) as exc:
         report.add("ending-rule-partition", n_max, False, str(exc))
         return report
-    all_ops = set(ops) == set(_OP_ORDER)
+    all_ops = set(ops) == set(canon.OPS)
     engine = counting.class_counts(n_max) if all_ops else None
     sp_ops = set(ops) == {"+", "*"}
 
@@ -458,7 +471,7 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
             )
             ok = all(
                 cells[op][t] == engine.cell(k, op, t)
-                for op in _OP_ORDER
+                for op in canon.OPS
                 for t in (1, 2, 3)
             )
             report.add("category-table-vs-engine", k, ok)

@@ -41,14 +41,6 @@ ProjValue = Union[Fraction, _Infinity]
 EvalResult = Union[Fraction, _Infinity, _Undefined]
 
 
-def is_finite(x: EvalResult) -> bool:
-    return isinstance(x, Fraction)
-
-
-def is_defined(x: EvalResult) -> bool:
-    return x is not UNDEFINED
-
-
 def p_add(a: ProjValue, b: ProjValue) -> EvalResult:
     """Projective sum: finite+finite exact, finite+inf = inf, inf+inf undefined."""
     if isinstance(a, Fraction):

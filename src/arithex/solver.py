@@ -9,11 +9,11 @@ isomorphism classes by orbit key.
 Each form is evaluated once, bottom-up through its first recorded
 decomposition (its witness tree), as an integer pair (N, D): an atom
 x_i = p/q is (p, q), and pairs combine by the cross-multiplication rules of
-``canon.combine``.  combine only divides out content and flips signs, so
-(N, D) = lambda * (num(x), den(x)) for some nonzero lambda, and the hit
-test is exact: a finite target p/q is hit iff D != 0 and N*q = D*p, inf
-(as 1/0) iff D = 0 != N, and N = D = 0 is undefined -- what
-``canon.eval_form`` gives.
+``canon.combine``.  combine only flips signs, so (N, D) = c * (num(x),
+den(x)) with c plus or minus the product of the numbers' denominators,
+and the hit test is exact: a finite target p/q is hit iff D != 0 and
+N*q = D*p, inf (as 1/0) iff D = 0 != N, and N = D = 0 is undefined --
+what ``canon.eval_form`` gives.
 A point where the witness tree is undefined but the reduced form is
 defined counts as a domain extension and is flagged rather than silently
 kept or dropped.

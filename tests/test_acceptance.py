@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-The deep halves of criteria 4 and 5 (the six-variable exhaustive count and
-its classes) share one n = 6 build, take minutes and run only when
-ARITHEX_DEEP=1 is set in the environment.
+The deep halves of criteria 4 and 5 (the six-variable exhaustive count,
+its forms' unit coefficients and its classes) share one n = 6 build, take
+minutes and run only when ARITHEX_DEEP=1 is set in the environment.
 """
 
 import io
@@ -17,7 +17,7 @@ from arithex import canon, counting, oracle, reference, solver
 from arithex.canon import assign_zero, eval_form, is_isomorphic, orbit_key
 from arithex.cli import main as cli_main
 from arithex.exprtree import eval_tree, parse, to_canon
-from arithex.projrat import INF, is_defined, p_add, p_div, p_mul, p_sub
+from arithex.projrat import INF, UNDEFINED, p_add, p_div, p_mul, p_sub
 
 import prop_suites
 
@@ -106,7 +106,7 @@ def test_criterion_03_worked_breakdowns(engine17):
 def test_criterion_04_identity_counts(family5_data):
     family, build_seconds = family5_data
     for k, expected in ((1, 1), (2, 6), (3, 68), (4, 1170), (5, 27142)):
-        assert oracle.identity_count(family, k) == expected
+        assert len(family.full_set(k).entries) == expected
     assert build_seconds < 60.0
     _report(4, "identity counts n<=5", f"built in {build_seconds:.2f}s")
 
@@ -127,10 +127,20 @@ def family6_data():
 @deep
 def test_criterion_04_deep_identity_count_n6(family6_data):
     family, elapsed = family6_data
-    count = oracle.identity_count(family, 6)
+    count = len(family.full_set(6).entries)
     assert count == 793002
     assert elapsed < 1800.0
     _report(4, "deep identity count n=6", f"{elapsed:.1f}s")
+
+
+@deep
+def test_criterion_04_deep_unit_coefficients_n6(family6_data):
+    family, _ = family6_data
+    start = time.monotonic()
+    # the forms on every nonempty subset of {1..6}
+    assert prop_suites.check_unit_forms(family) == 974860
+    elapsed = time.monotonic() - start
+    _report(4, "deep unit coefficients n=6", f"{elapsed:.1f}s")
 
 
 def test_criterion_05_oracle_vs_engine(family5_data, engine17):
@@ -231,7 +241,7 @@ def test_criterion_10_projective_case_matrix():
         for la, a in (("n", nonzero), ("0", zero), ("i", INF)):
             for lb, b in (("n", nonzero), ("0", zero), ("i", INF)):
                 result = op(a, b)
-                if not is_defined(result):
+                if result is UNDEFINED:
                     undefined.add((name, la, lb))
                     continue
                 if name == "+":

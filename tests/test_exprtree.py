@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithex import canon
 from arithex.exprtree import (
+    DependencyLoss,
     DuplicateVariable,
     EmptyInput,
     ExprSyntaxError,
@@ -129,6 +131,22 @@ def test_to_canon_examples():
 
 def test_tree_variables():
     assert tree_variables(parse("x2*(x7-x3)")) == frozenset({2, 3, 7})
+
+
+def test_to_canon_detects_a_lost_variable(monkeypatch):
+    # a combine whose polynomials drop the right operand's least variable
+    # but whose variable set still names it
+    combine = canon.combine
+
+    def lossy(op, f, g):
+        h = combine(op, f, g)
+        lost = min(g.varset)
+        num, den = h.num.substitute_zero(lost), h.den.substitute_zero(lost)
+        return canon.CanonForm(num, den, h.varset)
+
+    monkeypatch.setattr(canon, "combine", lossy)
+    with pytest.raises(DependencyLoss, match=r"depends on \[1\] but tree uses \[1, 2\]"):
+        to_canon(parse("x1+x2"))
 
 
 @given(st.text(max_size=20))

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import prop_suites
 from arithex import canon, oracle, reference
 from arithex.exprtree import parse, pretty, to_canon
 from arithex.mpoly import PolyTable
@@ -21,7 +22,6 @@ from arithex.oracle import (
     compute_orbits,
     dump_lines,
     generate,
-    identity_count,
     is_first_type,
     verify,
 )
@@ -51,10 +51,10 @@ def endop_of(family, text):
 
 
 def test_identity_counts_small(family4):
-    assert identity_count(family4, 1) == 1
-    assert identity_count(family4, 2) == 6
-    assert identity_count(family4, 3) == 68
-    assert identity_count(family4, 4) == 1170
+    assert len(family4.full_set(1).entries) == 1
+    assert len(family4.full_set(2).entries) == 6
+    assert len(family4.full_set(3).entries) == 68
+    assert len(family4.full_set(4).entries) == 1170
 
 
 def test_two_variable_universe(family4):
@@ -83,7 +83,7 @@ def test_orbits_small(family4):
 def test_orbit_sizes_sum(family4):
     for k in (2, 3, 4):
         orbits = compute_orbits(family4.full_set(k), k)
-        assert sum(c.size for c in orbits.classes) == identity_count(family4, k)
+        assert sum(c.size for c in orbits.classes) == len(family4.full_set(k).entries)
 
 
 def test_orbit_classes_match_orbit_keys(family4):
@@ -179,6 +179,13 @@ def test_stored_forms_share_polynomials(family5):
         for p in (form.num, form.den)
     ]
     assert len({id(p) for p in polys}) == len(set(polys))
+
+
+def test_stored_forms_have_unit_coefficients_and_no_shared_monomial(family5):
+    assert prop_suites.check_unit_forms(family5) == 33737
+    for r in range(1, 5):
+        for ops in combinations("+-*/", r):
+            assert prop_suites.check_unit_forms(generate(4, "".join(ops))) > 0
 
 
 def _reference_generate(n, ops):
