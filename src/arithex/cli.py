@@ -270,7 +270,7 @@ def _rational(text: str, option: str) -> Fraction:
 
 
 def cmd_solve(args) -> int:
-    numbers = [_rational(part, "--numbers") for part in args.numbers.split(",") if part.strip()]
+    numbers = [_rational(part, "--numbers") for part in args.numbers.split(",")]
     target = INF if args.target.strip() in ("inf", "oo") else _rational(args.target, "--target")
     query = solver.make_query(
         numbers, target, want_all=args.all, max_solutions=args.max_solutions

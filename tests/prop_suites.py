@@ -12,7 +12,7 @@ from arithex import canon, oracle
 from arithex.canon import apply_perm, combine, eval_form, is_isomorphic, negate
 from arithex.exprtree import Node, Var, eval_tree, to_canon, tree_variables
 from arithex.mpoly import MultiPoly
-from arithex.projrat import UNDEFINED
+from arithex.projrat import INF, UNDEFINED, p_add, p_div, p_mul, p_sub
 
 
 def random_tree(rng, indices):
@@ -189,6 +189,63 @@ def check_unit_forms(family):
             assert not {m for m, _ in form.num.terms} & {m for m, _ in form.den.terms}, form
             done += 1
     return done
+
+
+_PROJECTIVE_OPS = {"+": p_add, "-": p_sub, "*": p_mul, "/": p_div}
+
+# one of these goes into each puzzle of scan_puzzles: zero, a negative, a
+# fraction, and two that no float holds exactly and whose products overflow one
+SCAN_SPECIALS = (Fraction(0), Fraction(-3), Fraction(-2, 3), Fraction(10**200), Fraction(-10**300))
+SCAN_POOL = SCAN_SPECIALS + tuple(Fraction(x) for x in (0, 1, -1, 2, 3, 7, "1/2", "5/4"))
+
+
+def scan_puzzles(seed, count, family, sizes):
+    """Seeded (numbers, target) puzzles on family.  Puzzle i takes
+    SCAN_SPECIALS[i % 5] among its numbers; its target is inf, 0 or, one
+    time in two, the value some form of the level takes."""
+    rng = random.Random(seed)
+    puzzles = []
+    for i in range(count):
+        n = rng.choice(sizes)
+        numbers = [rng.choice(SCAN_POOL) for _ in range(n)]
+        numbers[rng.randrange(n)] = SCAN_SPECIALS[i % len(SCAN_SPECIALS)]
+        if i % 4 < 2:
+            target = (INF, Fraction(0))[i % 4]
+        else:
+            point = {j + 1: x for j, x in enumerate(numbers)}
+            forms = list(family.full_set(n).entries)
+            target = UNDEFINED
+            while target is UNDEFINED:
+                target = eval_form(rng.choice(forms), point)
+        puzzles.append((numbers, target))
+    return puzzles
+
+
+def plain_scan_hits(family, numbers, target):
+    """The forms on {1..n} that take target at x_i = numbers[i-1], in
+    generation order: every form is valued through its first decomposition
+    with projective arithmetic, and each hit is checked with eval_form."""
+    point = {i + 1: x for i, x in enumerate(numbers)}
+    level = frozenset(point)
+    value = {}  # form -> its value, on the proper subsets
+    hits = []
+    for varset, aeset in family.sets.items():
+        if not varset <= level:
+            continue
+        for form, entry in aeset.entries.items():
+            if entry.decomps:
+                op, left, right = entry.decomps[0]
+                a, b = value[left], value[right]
+                v = UNDEFINED if a is UNDEFINED or b is UNDEFINED else _PROJECTIVE_OPS[op](a, b)
+            else:
+                v = point[next(iter(varset))]
+            if varset != level:
+                value[form] = v
+            elif v is not UNDEFINED and v == target:
+                hits.append(form)
+    for form in hits:
+        assert eval_form(form, point) == target, form
+    return hits
 
 
 ALL_SUITES = (

@@ -234,6 +234,25 @@ def test_criterion_09_puzzle_21():
     _report(9, "21-puzzle", f"{len(solutions)} witnesses, one class, {elapsed:.2f}s")
 
 
+@deep
+def test_criterion_09_deep_solve_n6(family6_data):
+    # six-number puzzles, the first projective: the solver's lookup by the
+    # last operation against a plain scan of all 793002 forms
+    family, _ = family6_data
+    start = time.monotonic()
+    puzzles = prop_suites.scan_puzzles(61, 3, family, (6,))
+    assert puzzles[0][1] is INF
+    hits = 0
+    for numbers, target in puzzles:
+        expected = prop_suites.plain_scan_hits(family, numbers, target)
+        query = solver.make_query(numbers, target, want_all=True)
+        got = [sol.witness for sol in solver.solve(query, family)]
+        assert got == [family.witness(form) for form in expected], (numbers, target)
+        hits += len(got)
+    elapsed = time.monotonic() - start
+    _report(9, "deep solve n=6 vs plain scan", f"{len(puzzles)} puzzles, {hits} hits, {elapsed:.1f}s")
+
+
 def test_criterion_10_projective_case_matrix():
     nonzero, zero = F(5), F(0)
     undefined = set()

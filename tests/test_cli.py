@@ -241,6 +241,8 @@ def test_solve_bad_input_exit_code(argv):
         ("verify", "--max-n", "6"),
         ("count", "--max-n", "6", "--breakdown", "+,first,6", "--format", "csv"),
         ("count", "--max-n", f"{BREAKDOWN_MAX_N + 1}", f"--breakdown=/,first,{BREAKDOWN_MAX_N + 1}"),
+        ("solve", "--numbers", "1,,2", "--target", "3"),
+        ("solve", "--numbers", "1,2,", "--target", "3"),
     ],
 )
 def test_input_errors_exit_2(argv):

@@ -4,10 +4,11 @@ from itertools import permutations
 
 import pytest
 
+import prop_suites
 from arithex import canon, oracle
 from arithex.exprtree import Node, Var, eval_tree, parse, pretty, to_canon
 from arithex.projrat import INF, UNDEFINED
-from arithex.solver import TooManyNumbers, class_uniqueness, make_query, solve
+from arithex.solver import TooManyNumbers, _point_key, class_uniqueness, make_query, solve
 
 F = Fraction
 
@@ -298,3 +299,27 @@ def test_completeness_against_tree_brute_force(numbers, target, family4):
     tree_hits = _tree_brute_force_hits(numbers, target)
     solver_tree_hits = [s for s in sols if not s.extension]
     assert bool(tree_hits) == bool(solver_tree_hits), (numbers, target)
+
+
+def test_point_key_equal_points_share_a_key():
+    assert _point_key(2, 4) == _point_key(-1, -2) == _point_key(1, 2)
+    assert _point_key(0, 5) == _point_key(0, -5)
+    assert _point_key(3, 0) == _point_key(-3, 0)
+    # too large for a float: the reduced pair
+    assert _point_key(10**400, 1) == _point_key(2 * 10**400, 2) == (10**400, 1)
+    assert _point_key(10**400 + 1, 1) != _point_key(10**400, 1)
+    assert _point_key(-(10**400), -3) == _point_key(10**400, 3)
+
+
+@pytest.mark.parametrize("ops", ["+-*/", "+*", "+-*", "*/", "+-"])
+def test_lookup_matches_plain_scan(ops):
+    # the solver finds each full-level form through its last operation; a
+    # plain scan values every form through its first decomposition
+    family = oracle.generate(5 if ops == "+-*/" else 4, ops)
+    n = family.n
+    puzzles = prop_suites.scan_puzzles(31, 12, family, (n - 1, n, n))
+    assert {len(numbers) for numbers, _ in puzzles} == {n - 1, n}
+    for numbers, target in puzzles:
+        hits = prop_suites.plain_scan_hits(family, numbers, target)
+        sols = solve(make_query(numbers, target, want_all=True), family)
+        assert [s.witness for s in sols] == [family.witness(f) for f in hits], (numbers, target)
