@@ -23,11 +23,16 @@ content and factors via verified disjoint-variable factorization.
 
 Work repeated across a build is done once.  ``combine_pair`` combines
 one operand pair under several operators in one pass: it takes each cross
-product the operators need once from a ``mpoly.PolyTable``, builds the
-``+`` and ``-`` numerators in one merge (``MultiPoly.add_sub``), and
-stores each result's numerator and denominator in the table, so an
-exhaustive build that passes one table computes each product once and
-keeps one copy of each polynomial.  ``combine`` is its one-operator call.
+product the operators need once from a ``mpoly.PolyTable`` and builds
+the ``+`` and ``-`` numerators in one merge (``MultiPoly.add_sub``).
+Every denominator and every ``*`` and ``/`` numerator is a stored
+product, or its stored negation when the denominator's sign flips, so
+the ``+`` and ``-`` numerators are the only polynomials it stores anew;
+``swap_operands`` builds its results from stored polynomials and their
+stored negations alone.  An exhaustive build that passes one table thus
+computes each product once, negates each polynomial once and keeps one
+copy of each polynomial.  ``combine`` is its one-operator call, and
+``_normalized`` only serves zero assignment, whose quotients are new.
 A form hashes its polynomials' cached hashes, so hashing a form reads
 no term.  ``Relabelings(n)`` pairs each permutation of {1..n} with
 a table of monomial images, so the orbits of many forms of one size
@@ -114,21 +119,12 @@ def atom(i: int, table: Optional[PolyTable] = None) -> CanonForm:
     return CanonForm(num, table.intern(ONE), frozenset((i,)))
 
 
-def _normalized(
-    num: MultiPoly,
-    den: MultiPoly,
-    varset: Optional[frozenset] = None,
-    table: Optional[PolyTable] = None,
-) -> CanonForm:
-    """The form num/den with a monic denominator, num and den taken from
-    the table."""
+def _normalized(num: MultiPoly, den: MultiPoly) -> CanonForm:
+    """The form num/den with a monic denominator, on the variables of num
+    and den."""
     if not den.is_monic():
         num, den = -num, -den
-    if varset is None:
-        varset = num.variables() | den.variables()
-    if table is None:
-        table = PolyTable()
-    return CanonForm(table.intern(num), table.intern(den), varset)
+    return CanonForm(num, den, num.variables() | den.variables())
 
 
 def combine_pair(
@@ -147,8 +143,9 @@ def combine_pair(
 
     The operators share their products: each one ops needs is taken from
     table once, and the + and - numerators come from one merge.  The
-    results' num and den are stored in table; a build passes its one table
-    to every call, a one-off call gets a fresh one.
+    results' num and den are stored in table, a flipped sign taken from
+    its stored negations; a build passes its one table to every call, a
+    one-off call gets a fresh one.
     """
     if varset is None:
         if f.varset & g.varset:
@@ -158,19 +155,28 @@ def combine_pair(
         varset = f.varset | g.varset
     if table is None:
         table = PolyTable()
-    product = table.product
-    quotients = {}  # op -> (num, den) before normalization
+    product, negation = table.product, table.negation
+    quotients = {}  # op -> (num, den), den stored and monic
     sum_or_diff = "+" in ops or "-" in ops
     if sum_or_diff or "/" in ops:
         f1g2, f2g1 = product(f.num, g.den), product(f.den, g.num)
-        quotients["/"] = f1g2, f2g1
+        if "/" in ops:
+            if f2g1.terms[0][1] > 0:
+                quotients["/"] = f1g2, f2g1
+            else:
+                quotients["/"] = negation(f1g2), negation(f2g1)
     if sum_or_diff or "*" in ops:
         f2g2 = product(f.den, g.den)
+        flip = f2g2.terms[0][1] < 0
+        if flip:
+            f2g2 = negation(f2g2)
         if sum_or_diff:
+            # the one pair of numerators not yet stored, nor flipped
             total, diff = f1g2.add_sub(f2g1)
             quotients["+"], quotients["-"] = (total, f2g2), (diff, f2g2)
         if "*" in ops:
-            quotients["*"] = product(f.num, g.num), f2g2
+            f1g1 = product(f.num, g.num)
+            quotients["*"] = (negation(f1g1) if flip else f1g1), f2g2
     results = []
     for op in ops:
         quotient = quotients.get(op)
@@ -179,7 +185,9 @@ def combine_pair(
         num, den = quotient
         if not num:
             raise NonAEResult(f"vanishing numerator combining {f!r} {op} {g!r}")
-        results.append((op, _normalized(num, den, varset, table)))
+        if op in "+-":
+            num = table.intern(-num if flip else num)
+        results.append((op, CanonForm(num, den, varset)))
     return results
 
 
@@ -206,16 +214,21 @@ def swap_operands(op: str, f: CanonForm, table: Optional[PolyTable] = None) -> C
     """combine(op, h, g) from f = combine(op, g, h), for op - or /.
 
     h - g is f with its numerator negated; h / g is f with numerator and
-    denominator swapped.  No product is taken, and the result is
-    normalized and stored in table as combine's results are.
+    denominator swapped, both negated if the new denominator is not
+    monic.  No product is taken: with f's polynomials stored in table, the
+    result holds them or their stored negations, as combine's results do.
     """
+    if table is None:
+        table = PolyTable()
     if op == "-":
-        num, den = -f.num, f.den
+        num, den = table.negation(f.num), f.den
     elif op == "/":
         num, den = f.den, f.num
+        if den.terms[0][1] < 0:
+            num, den = table.negation(num), table.negation(den)
     else:
         raise ValueError(f"operator {op!r} has no swapped-operand rule")
-    return _normalized(num, den, f.varset, table)
+    return CanonForm(num, den, f.varset)
 
 
 def is_monic_form(f: CanonForm) -> bool:

@@ -12,9 +12,10 @@ tuples of ints this is exactly Python's native tuple order, e.g.
 ``(1, 3) < (2, 3, 4)`` and ``(2,) < (2, 3)``.
 
 A ``PolyTable`` belongs to one build.  It keeps one copy of each distinct
-polynomial and computes the product of each operand pair once, so the
-many forms of an exhaustive build share their polynomials and their
-products.  Polynomials are immutable, so sharing changes no value.
+polynomial, computes the product of each operand pair once and negates
+each stored polynomial once, so the many forms of an exhaustive build
+share their polynomials, their products and their negations.
+Polynomials are immutable, so sharing changes no value.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class MultiPoly:
         return MultiPoly.from_dict(d)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly((m, -c) for m, c in self.terms)
+        return MultiPoly([(m, -c) for m, c in self.terms])
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -236,17 +237,18 @@ ONE = MultiPoly.constant(1)
 
 class PolyTable:
     """One build's polynomials: each distinct one stored once, each product
-    of an operand pair computed once.
+    of an operand pair computed once, each stored polynomial negated once.
 
     A table lives as long as the build that owns it; nothing is shared
     between builds.
     """
 
-    __slots__ = ("polys", "products")
+    __slots__ = ("polys", "products", "negations")
 
     def __init__(self):
-        self.polys: dict = {}     # polynomial -> its stored copy
-        self.products: dict = {}  # (a, b) -> a*b
+        self.polys: dict = {}      # polynomial -> its stored copy
+        self.products: dict = {}   # (a, b) -> a*b
+        self.negations: dict = {}  # p -> -p, both stored
 
     def intern(self, p: MultiPoly) -> MultiPoly:
         """The stored polynomial equal to p, storing p if it is new."""
@@ -258,6 +260,14 @@ class PolyTable:
         if ab is None:
             ab = self.products[a, b] = self.intern(a.mul_disjoint(b))
         return ab
+
+    def negation(self, p: MultiPoly) -> MultiPoly:
+        """The stored -p of a stored polynomial p."""
+        neg = self.negations.get(p)
+        if neg is None:
+            neg = self.negations[p] = self.intern(-p)
+            self.negations[neg] = p
+        return neg
 
 
 # ---------------------------------------------------------------------------

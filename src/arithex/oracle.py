@@ -5,8 +5,9 @@ closing the atoms under the four operations with disjoint variable sets,
 deduplicating by canonical form.  Each operand pair is combined once,
 under every operator, by ``canon.combine_pair``.  One polynomial table
 serves the whole build: each product of two operand polynomials is
-computed once, and the stored forms share one copy of each distinct
-polynomial.  The table is dropped when the build returns.  On top of the
+computed once, each stored polynomial is negated at most once, and the
+stored forms share one copy of each distinct polynomial.  The table,
+negations included, is dropped when the build returns.  On top of the
 generated universe it computes isomorphism orbits, classifies
 representatives by ending operator and type, and cross-checks everything
 against the recurrence engine and the published reference values.

@@ -25,7 +25,7 @@ from arithex.canon import (
     swap_operands,
 )
 from arithex.exprtree import parse, to_canon
-from arithex.mpoly import MultiPoly
+from arithex.mpoly import MultiPoly, PolyTable
 from arithex.projrat import INF, UNDEFINED
 
 F = Fraction
@@ -83,17 +83,25 @@ def test_negate():
 
 
 @pytest.mark.parametrize(
-    "f, g", [("x1", "x2"), ("x1+x3", "x2*x4"), ("x1-x3", "x2/x4"), ("x2/(x1-x3)", "x4")]
+    "f, g",
+    [("x1", "x2"), ("x1+x3", "x2*x4"), ("x1-x3", "x2/x4"), ("x2/(x1-x3)", "x4"), ("x3-x1", "x2")],
 )
 @pytest.mark.parametrize("op", ["-", "/"])
 def test_swap_operands_matches_reversed_combine(op, f, g):
     # the reversed result is derived without a product, and keeps the
-    # denominator monic: (x2/(x1-x3)) / x4 swaps to x4*(x1-x3) over -x2
+    # denominator monic: (x3-x1) / x2 swaps to -x2 over x1-x3
     f, g = form(f), form(g)
     swapped = swap_operands(op, combine(op, f, g))
     expected = combine(op, g, f)
     assert swapped == expected and swapped.varset == expected.varset
     assert swapped.den.is_monic()
+    # through one build table, the swapped form holds the table's copies
+    table = PolyTable()
+    f, g = (CanonForm(table.intern(h.num), table.intern(h.den), h.varset) for h in (f, g))
+    swapped = swap_operands(op, combine(op, f, g, table=table), table)
+    assert swapped == expected and swapped.varset == expected.varset
+    assert swapped.num is table.intern(swapped.num)
+    assert swapped.den is table.intern(swapped.den)
 
 
 def test_swap_operands_rejects_symmetric_ops():

@@ -15,7 +15,7 @@ import pytest
 import arithex
 from arithex import InputError, canon, mpoly, oracle, solver
 from arithex.cli import main
-from arithex.counting import BREAKDOWN_MAX_N, class_counts
+from arithex.counting import BREAKDOWN_MAX_N, COUNT_MAX_N, class_counts
 from arithex.exprtree import DuplicateVariable, ExprSyntaxError, parse, to_canon
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -243,6 +243,7 @@ def test_solve_bad_input_exit_code(argv):
         ("count", "--max-n", f"{BREAKDOWN_MAX_N + 1}", f"--breakdown=/,first,{BREAKDOWN_MAX_N + 1}"),
         ("solve", "--numbers", "1,,2", "--target", "3"),
         ("solve", "--numbers", "1,2,", "--target", "3"),
+        ("count", "--max-n", f"{COUNT_MAX_N + 1}"),
     ],
 )
 def test_input_errors_exit_2(argv):

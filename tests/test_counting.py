@@ -3,18 +3,30 @@ from fractions import Fraction
 
 import pytest
 
-from arithex import reference
+from arithex import counting, reference
 from arithex.counting import (
+    COUNT_MAX_N,
     OPS,
     class_counts,
     total_nonisomorphic,
     worked_breakdown,
 )
+from arithex.errors import InputError
 
 
 @pytest.fixture(scope="module")
 def table17():
     return class_counts(17)
+
+
+def test_size_bound_rejected_before_allocation(monkeypatch):
+    def unreachable(n_max):
+        raise AssertionError(f"table of {n_max} levels allocated")
+
+    monkeypatch.setattr(counting, "CategoryTable", unreachable)
+    for n_max in (0, COUNT_MAX_N + 1, 10**8):
+        with pytest.raises(InputError):
+            class_counts(n_max)
 
 
 def test_level_one(table17):

@@ -9,6 +9,7 @@ from arithex.mpoly import (
     ZERO,
     MissingAssignment,
     MultiPoly,
+    PolyTable,
     ZeroPolynomial,
     disjoint_factors,
 )
@@ -141,6 +142,16 @@ def test_evaluation_respects_ring_ops(da, db):
     assert (pa + pb).evaluate(point) == pa.evaluate(point) + pb.evaluate(point)
     if not (pa.variables() & pb.variables()):
         assert pa.mul_disjoint(pb).evaluate(point) == pa.evaluate(point) * pb.evaluate(point)
+
+
+def test_poly_table_negates_each_stored_polynomial_once():
+    table = PolyTable()
+    p = table.intern(P(((1, 3), 1), ((2,), -1)))  # x1*x3 - x2
+    neg = table.negation(p)
+    assert neg == -p and table.intern(-p) is neg
+    assert table.negation(p) is neg
+    # the negation's own negation is the stored p, not a fresh copy
+    assert table.negation(neg) is p
 
 
 def test_content():

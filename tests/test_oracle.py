@@ -172,13 +172,17 @@ def test_equal_forms_hash_alike_however_built(family4):
 
 
 def test_stored_forms_share_polynomials(family5):
-    polys = [
-        p
-        for aeset in family5.sets.values()
-        for form in aeset.entries
-        for p in (form.num, form.den)
-    ]
-    assert len({id(p) for p in polys}) == len(set(polys))
+    # which denominators flip sign, and so which negations are stored,
+    # depends on the operator fragment
+    fragments = ["".join(c) for r in range(1, 5) for c in combinations("+-*/", r)]
+    for family in (family5, *(generate(4, ops) for ops in fragments)):
+        polys = [
+            p
+            for aeset in family.sets.values()
+            for form in aeset.entries
+            for p in (form.num, form.den)
+        ]
+        assert len({id(p) for p in polys}) == len(set(polys)), family.ops
 
 
 def test_stored_forms_have_unit_coefficients_and_no_shared_monomial(family5):
@@ -605,6 +609,25 @@ def test_verify_holds_off_the_collector_and_restores_it(enabled, monkeypatch):
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False, False]
+
+
+def test_build_leaves_no_cyclic_garbage():
+    # verify and summarize build with the collector off, so a build, its
+    # polynomial table and the table's negations must be freed by
+    # reference counting alone
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for ops in ("+-*/", "+-", "*/"):
+            family = generate(4, ops)
+            classify_endops(family)
+            del family
+            assert gc.collect() == 0, ops
+        oracle.summarize(4)
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_verify_series_parallel():
