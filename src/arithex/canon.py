@@ -5,38 +5,60 @@ unique representation as a reduced quotient of two multilinear polynomials
 whose denominator is monic.  Equal forms mean identical functions, so the
 form serves as hash key, orbit key and evaluation vehicle throughout.
 
-Combining two forms with disjoint variable sets cross-multiplies and
-flips both signs if the denominator is not monic; no other normalization
-is needed.  Every form built from atoms by + - * / has coefficients +-1
-and no monomial common to its numerator and denominator.  Atoms hold
-this, and the cross-multiplication rules keep it: with disjoint operand
-variables a monomial of a product splits one way only, as a|b with a
-from f and b from g, so two of the products could share a|b only if F1
-and F2 shared a or G1 and G2 shared b.  No two terms are ever added,
-every coefficient stays +-1, and the content is always 1; the test
-suite checks the invariant on every generated form.  No polynomial gcd is
-taken either: with disjoint operand variables the cross product of
-reduced forms stays reduced, an assumption the test suite guards with
-randomized functional-equality checks.  Zero assignment is
-the one operation that can surface a common factor, and it cancels
-content and factors via verified disjoint-variable factorization.
+Combining two forms with disjoint variable sets cross-multiplies, and
+only ``/`` may flip both signs; no other normalization is needed.  Every
+form built from atoms by + - * /, relabeling and zero assignment keeps
+two invariants:
+
+- its numerator and its denominator are each an antichain: no monomial
+  contains another monomial of the same polynomial;
+- no numerator monomial lies inside a denominator monomial.
+
+Atoms hold both.  With disjoint operand variables a monomial of a product
+splits one way only, as a|b with a from f and b from g, and a|b lies
+inside a'|b' iff a lies inside a' and b inside b'.  So a containment in a
+result of the cross-multiplication rules below needs a containment within
+one polynomial of an operand, or a numerator monomial of an operand inside
+one of its denominator monomials, and each rule keeps both invariants.
+The ``/`` flip, ``swap_operands`` and relabeling keep the monomial sets,
+and zero assignment only drops terms and cancels common factors.
+
+What follows, for f = F1/F2 and g = G1/G2:
+
+- F1*G2, F2*G1 and F2*G2 share no monomial, so no two terms are ever
+  added: every coefficient stays +-1, the content is always 1, and the
+  ``+`` and ``-`` numerators are each one sort of two sorted runs.
+- Merging with a monomial on other variables reverses a < a' of sorted
+  tuples only if a is a prefix of a', and so a subset of it.  The least
+  monomial of a product of antichains is therefore the merge of their
+  least monomials, with the product of their coefficients: F2*G2 is
+  monic, ``+``, ``-`` and ``*`` never flip a sign, and ``/`` flips
+  exactly when G1 is not monic.
+- Zero assignment keeps the coefficients +-1, so it has no content to
+  divide out.
+
+The test suite checks both invariants and the monic denominator on every
+generated form.  No polynomial gcd is taken either: with disjoint operand
+variables the cross product of reduced forms stays reduced, an assumption
+the test suite guards with randomized functional-equality checks.  Zero
+assignment is the one operation that can surface a common factor, and it
+cancels factors via verified disjoint-variable factorization.
 
 Work repeated across a build is done once.  ``combine_pair`` combines
 one operand pair under several operators in one pass: it takes each cross
-product the operators need once from a ``mpoly.PolyTable`` and builds
-the ``+`` and ``-`` numerators in one merge (``MultiPoly.add_sub``).
-Every denominator and every ``*`` and ``/`` numerator is a stored
-product, or its stored negation when the denominator's sign flips, so
-the ``+`` and ``-`` numerators are the only polynomials it stores anew;
-``swap_operands`` builds its results from stored polynomials and their
-stored negations alone.  An exhaustive build that passes one table thus
-computes each product once, negates each polynomial once and keeps one
-copy of each polynomial.  ``combine`` is its one-operator call, and
-``_normalized`` only serves zero assignment, whose quotients are new.
-A form hashes its polynomials' cached hashes, so hashing a form reads
-no term.  ``Relabelings(n)`` pairs each permutation of {1..n} with
-a table of monomial images, so the orbits of many forms of one size
-relabel each monomial once per permutation.
+product the operators need once from a ``mpoly.PolyTable``.  Every
+denominator and every ``*`` and ``/`` numerator is a stored product, or
+its stored negation when ``/`` flips, so the ``+`` and ``-`` numerators
+are the only polynomials it stores anew; ``swap_operands`` builds its
+results from stored polynomials and their stored negations alone.  An
+exhaustive build that passes one table thus computes each product once,
+negates each polynomial once and keeps one copy of each polynomial.
+``combine`` is its one-operator call, and ``_normalized`` only serves
+zero assignment, whose quotients are new.  A form hashes its
+polynomials' cached hashes, so hashing a form reads no term.
+``Relabelings(n)`` pairs each permutation of {1..n} with a table of
+monomial images, so the orbits of many forms of one size relabel each
+monomial once per permutation.
 
 Searches start from one variable partition, the signature cells, which no
 relabeling changes: ``is_isomorphic`` maps each cell of one form onto the
@@ -53,7 +75,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterator, Mapping, Optional
 
 from .mpoly import ONE, MultiPoly, PolyTable, disjoint_factors
@@ -142,10 +163,12 @@ def combine_pair(
     ``* -> (F1*G1)/(F2*G2)``, ``/ -> (F1*G2)/(F2*G1)``.
 
     The operators share their products: each one ops needs is taken from
-    table once, and the + and - numerators come from one merge.  The
-    results' num and den are stored in table, a flipped sign taken from
-    its stored negations; a build passes its one table to every call, a
-    one-off call gets a fresh one.
+    table once.  By the form invariants (see the module docstring) only
+    ``/`` flips a sign, when G1 is not monic, and the + and - numerators
+    need no merge of equal monomials.  The results' num and den are
+    stored in table, a flipped sign taken from its stored negations; a
+    build passes its one table to every call, a one-off call gets a
+    fresh one.
     """
     if varset is None:
         if f.varset & g.varset:
@@ -167,16 +190,14 @@ def combine_pair(
                 quotients["/"] = negation(f1g2), negation(f2g1)
     if sum_or_diff or "*" in ops:
         f2g2 = product(f.den, g.den)
-        flip = f2g2.terms[0][1] < 0
-        if flip:
-            f2g2 = negation(f2g2)
-        if sum_or_diff:
-            # the one pair of numerators not yet stored, nor flipped
-            total, diff = f1g2.add_sub(f2g1)
-            quotients["+"], quotients["-"] = (total, f2g2), (diff, f2g2)
+        # F1*G2 and F2*G1 share no monomial: each numerator is one sort of
+        # two sorted runs, and the only pair of polynomials not yet stored
+        if "+" in ops:
+            quotients["+"] = MultiPoly(sorted(f1g2.terms + f2g1.terms)), f2g2
+        if "-" in ops:
+            quotients["-"] = MultiPoly(sorted(f1g2.terms + negation(f2g1).terms)), f2g2
         if "*" in ops:
-            f1g1 = product(f.num, g.num)
-            quotients["*"] = (negation(f1g1) if flip else f1g1), f2g2
+            quotients["*"] = product(f.num, g.num), f2g2
     results = []
     for op in ops:
         quotient = quotients.get(op)
@@ -186,7 +207,7 @@ def combine_pair(
         if not num:
             raise NonAEResult(f"vanishing numerator combining {f!r} {op} {g!r}")
         if op in "+-":
-            num = table.intern(-num if flip else num)
+            num = table.intern(num)
         results.append((op, CanonForm(num, den, varset)))
     return results
 
@@ -242,14 +263,6 @@ def is_monic_form(f: CanonForm) -> bool:
 # x_sigma(i), re-sorts monomials and restores the monic denominator.
 
 Permutation = Mapping[int, int]
-
-
-def make_perm(mapping: Mapping[int, int]) -> dict:
-    """Validate bijectivity on the support and drop fixed points."""
-    cleaned = {k: v for k, v in mapping.items() if k != v}
-    if len(set(cleaned.values())) != len(cleaned):
-        raise ValueError(f"not injective: {mapping}")
-    return cleaned
 
 
 def all_perms(n: int) -> Iterator[dict]:
@@ -368,7 +381,7 @@ def is_isomorphic(f: CanonForm, g: CanonForm) -> Optional[dict]:
         for sig, image in zip(sigs, images):
             perm.update(zip(cells_f[sig], image))
         if apply_perm(perm, f) == g:
-            return make_perm(perm)
+            return {k: v for k, v in perm.items() if k != v}
     return None
 
 
@@ -456,11 +469,11 @@ class ZeroAssignResult:
 
 
 def reduce_quotient(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Cancel the common content and common disjoint-variable factors."""
-    c = gcd(num.content(), den.content())
-    if c > 1:
-        num = num.divide_content(c)
-        den = den.divide_content(c)
+    """Cancel the common disjoint-variable factors.
+
+    A zero assignment only drops terms of a form, so both sides keep
+    coefficients +-1 and content 1; there is no content to divide out.
+    """
     if num.variables() & den.variables():
         n_sign, n_cont, n_factors = disjoint_factors(num)
         d_sign, d_cont, d_factors = disjoint_factors(den)

@@ -105,36 +105,6 @@ class MultiPoly:
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
-    def add_sub(self, other: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
-        """``(self + other, self - other)`` in one merge of the sorted terms."""
-        a, b = self.terms, other.terms
-        na, nb = len(a), len(b)
-        add, sub = [], []
-        i = j = 0
-        while i < na and j < nb:
-            ma, ca = a[i]
-            mb, cb = b[j]
-            if ma < mb:
-                add.append(a[i])
-                sub.append(a[i])
-                i += 1
-            elif mb < ma:
-                add.append(b[j])
-                sub.append((mb, -cb))
-                j += 1
-            else:
-                if ca + cb:
-                    add.append((ma, ca + cb))
-                if ca - cb:
-                    sub.append((ma, ca - cb))
-                i += 1
-                j += 1
-        add.extend(a[i:])
-        sub.extend(a[i:])
-        add.extend(b[j:])
-        sub.extend([(m, -c) for m, c in b[j:]])
-        return MultiPoly(add), MultiPoly(sub)
-
     def mul_disjoint(self, other: "MultiPoly") -> "MultiPoly":
         """Product assuming variable sets are disjoint (caller-checked)."""
         # Disjointness makes every merged monomial unique, so no collection pass.

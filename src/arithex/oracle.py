@@ -565,14 +565,10 @@ def _check_class_operations(family: Family, rng: random.Random) -> bool:
     if family.n < 2:
         return True
     subsets = [s for s in family.sets if 0 < len(s) < family.n]
-    if not subsets:
-        return True
     for _ in range(_CLASS_OPERATION_SAMPLES):
         left = rng.choice(subsets)
-        right_pool = [s for s in subsets if not (s & left)]
-        if not right_pool:
-            continue
-        right = rng.choice(right_pool)
+        # for n >= 2 each proper subset misses a singleton, so this pool has one
+        right = rng.choice([s for s in subsets if not (s & left)])
         f = _random_entry(family.sets[left].entries, rng)
         g = _random_entry(family.sets[right].entries, rng)
         f2 = canon.apply_perm(_random_perm_of(left, rng), f)

@@ -178,15 +178,23 @@ def suite_type2_pairing(seed, cases, family=None):
 
 
 def check_unit_forms(family):
-    """Every stored form of a generated family has coefficients +-1 and no
-    monomial in both its numerator and denominator, the invariant that
-    lets canon.combine normalize by a sign flip alone.  Returns the number
-    of forms checked."""
+    """Every stored form of a generated family has coefficients +-1, no
+    monomial in both its numerator and denominator and a monic
+    denominator, and keeps the two invariants that let canon.combine_pair
+    flip a sign only for / and build the + and - numerators without a
+    merge: its numerator and its denominator are antichains (no monomial
+    contains another) and no numerator monomial lies inside a denominator
+    monomial.  Returns the number of forms checked."""
     done = 0
     for aeset in family.sets.values():
         for form in aeset.entries:
             assert all(abs(c) == 1 for _, c in form.num.terms + form.den.terms), form
-            assert not {m for m, _ in form.num.terms} & {m for m, _ in form.den.terms}, form
+            assert form.den.is_monic(), form
+            num = [frozenset(m) for m, _ in form.num.terms]
+            den = [frozenset(m) for m, _ in form.den.terms]
+            for poly in (num, den):
+                assert not any(a < b for a in poly for b in poly), form
+            assert not any(a <= b for a in num for b in den), form
             done += 1
     return done
 

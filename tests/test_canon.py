@@ -151,6 +151,9 @@ def test_not_isomorphic():
     assert is_isomorphic(form("x1+x2"), form("x1-x2")) is None
     # equal signature cells, yet no bijection of them maps one onto the other
     assert is_isomorphic(form("(x1+x2)*(x3+x4)"), form("(x1-x2)*(x3-x4)")) is None
+    # forms of different sizes, and unequal signature cells
+    assert is_isomorphic(form("x1+x2"), form("x1+x2+x3")) is None
+    assert is_isomorphic(form("x1+x2"), form("x1*x2")) is None
 
 
 def test_isomorphic_requires_contiguous():

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import arithex
-from arithex import InputError, canon, mpoly, oracle, solver
+from arithex import InputError, canon, mpoly, oracle, reference, solver
 from arithex.cli import main
 from arithex.counting import BREAKDOWN_MAX_N, COUNT_MAX_N, class_counts
 from arithex.exprtree import DuplicateVariable, ExprSyntaxError, parse, to_canon
@@ -95,6 +95,16 @@ def test_count_breakdown_json_validates():
     assert payload["total"] == 294
     nonzero = [tuple(t["factors"]) for t in payload["terms"] if t["value"]]
     assert nonzero == [(2, 6), (6, 5), (30, 2), (192, 1)]
+    # a + cell lists partition-keyed terms
+    code, out = run_cli(
+        "count", "--max-n", "6", "--breakdown", "+,first,6", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("breakdown.schema.json"))
+    assert {t["kind"] for t in payload["terms"]} == {"partition"}
+    assert "(1^2,4^1)" in [t["key"] for t in payload["terms"]]
+    assert payload["total"] == class_counts(6).cell(6, "+", 1)
 
 
 def test_count_breakdown_at_size_bound():
@@ -183,6 +193,32 @@ def test_verify_exit_code():
     code, out = run_cli("verify", "--max-n", "3")
     assert code == 0
     assert "verification passed" in out
+
+
+def test_verify_mismatch_exits_1(monkeypatch):
+    monkeypatch.setitem(reference.IDENTITY_COUNTS, 3, 67)
+    code, out = run_cli("verify", "--max-n", "3")
+    assert code == 1
+    assert "[MISMATCH] n=3 identity-count (68 vs 67)\n" in out
+    assert out.endswith("verification FAILED\n")
+
+
+@pytest.mark.parametrize(
+    "op,rule,detail",
+    [
+        ("*", ("-", "+", "*", "/"), "rules ['*', '/'] all fired for "),
+        ("+", (), "no ending rule fired for "),
+    ],
+)
+def test_verify_ending_rule_failure_exits_1(monkeypatch, op, rule, detail):
+    monkeypatch.setitem(oracle._END_RULES, op, rule)
+    report = oracle.verify(3)
+    [check] = report.checks
+    assert (check.name, check.n, check.ok) == ("ending-rule-partition", 3, False)
+    assert check.detail.startswith(detail)
+    code, out = run_cli("verify", "--max-n", "3")
+    assert code == 1
+    assert out == f"{check.line()}\nverification FAILED\n"
 
 
 def test_verify_series_parallel():
@@ -408,6 +444,13 @@ def test_classify_text():
     assert code == 0
     assert "ends with:  *" in out
     assert "type:       3" in out
+    code, out = run_cli("classify", "--expr", "x3+x2*x7")
+    assert code == 0
+    assert "relabeled:  (x1*x3 + x2) / (1) (for classification)\n" in out
+    code, out = run_cli("classify", "--expr", "x1+x2+x3+x4+x5+x6")
+    assert code == 0
+    assert "ends with:  (classification available up to 5 variables)\n" in out
+    assert "type:" not in out
 
 
 def test_classify_json_validates():

@@ -71,6 +71,17 @@ def test_parse_errors_carry_position():
     assert err.value.position == 6
 
 
+@pytest.mark.parametrize("text,position,found", [("x1 x2", 3, "x"), ("x1)", 2, ")")])
+def test_parse_rejects_trailing_input(text, position, found):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert (err.value.position, err.value.expected, err.value.found) == (
+        position,
+        "end of input or an operator",
+        found,
+    )
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [
@@ -116,6 +127,8 @@ def test_eval_tree_undefined_propagates():
     assert eval_tree(parse("x1+x2"), {1: INF, 2: INF}) is UNDEFINED
     assert eval_tree(parse("x1/x2"), {1: F(1), 2: F(0)}) is INF
     assert eval_tree(parse("(x1+x2)*x3"), {1: INF, 2: INF, 3: F(1)}) is UNDEFINED
+    # only the right operand is undefined
+    assert eval_tree(parse("x1+x2/x3"), {1: F(1), 2: F(0), 3: F(0)}) is UNDEFINED
 
 
 def test_eval_tree_missing_assignment():

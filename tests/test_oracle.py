@@ -172,8 +172,9 @@ def test_equal_forms_hash_alike_however_built(family4):
 
 
 def test_stored_forms_share_polynomials(family5):
-    # which denominators flip sign, and so which negations are stored,
-    # depends on the operator fragment
+    # only / flips a sign (when its divisor's numerator is not monic), and
+    # - stores the negation of F2*G1, so which negations are stored depends
+    # on the operator fragment
     fragments = ["".join(c) for r in range(1, 5) for c in combinations("+-*/", r)]
     for family in (family5, *(generate(4, ops) for ops in fragments)):
         polys = [
