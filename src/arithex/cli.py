@@ -312,7 +312,6 @@ def cmd_classify(args) -> int:
     endop = typeclass = None
     if n <= ORACLE_DEFAULT_MAX_N:
         family = oracle.generate(n)
-        oracle.classify_endops(family)
         endop = family.entry_of(work).endop
         typeclass = oracle.classify_type(work, family.sets[work.varset].entries)
     iso = None

@@ -7,10 +7,11 @@ under every operator, by ``canon.combine_pair``.  One polynomial table
 serves the whole build: each product of two operand polynomials is
 computed once, each stored polynomial is negated at most once, and the
 stored forms share one copy of each distinct polynomial.  The table,
-negations included, is dropped when the build returns.  On top of the
-generated universe it computes isomorphism orbits, classifies
-representatives by ending operator and type, and cross-checks everything
-against the recurrence engine and the published reference values.
+negations included, is dropped when the build returns.  The build also
+classifies by ending operator, firing the ending rules as it records each
+result.  On top of the generated universe it computes isomorphism orbits
+and types, and cross-checks everything against the recurrence engine and
+the published reference values.
 
 A build makes no reference cycles, yet while the family grows the cyclic
 garbage collector makes hundreds of passes over its newest objects and
@@ -46,7 +47,7 @@ from typing import Iterator, Optional
 from . import canon, counting, reference
 from .canon import CanonForm
 from .errors import InputError
-from .exprtree import Node, Var, pretty
+from .exprtree import Node, Var, parse, pretty, to_canon
 from .mpoly import PolyTable
 
 # largest n an exhaustive build may take: n = 7 has 27.9M forms
@@ -55,8 +56,14 @@ MAX_N = 6
 # random operand pairs behind verify's class-operation-compatibility check
 _CLASS_OPERATION_SAMPLES = 100
 
-# operand ending-operator sets that let a combination inherit the operator
-_END_RULES = {"+": ("+", "*", "/"), "*": ("-", "+", "*"), "/": ("+", "-", "*")}
+# operand ending-operator sets that let a combination inherit the operator;
+# - also needs a first-type right operand
+_END_RULES = {
+    "+": ("+", "*", "/"),
+    "-": ("+", "*", "/"),
+    "*": ("-", "+", "*"),
+    "/": ("+", "-", "*"),
+}
 
 
 class LimitExceeded(InputError):
@@ -76,14 +83,15 @@ class ClassificationAmbiguous(RuntimeError):
 
 
 class AEntry:
-    """A generated expression: canonical form plus every way it arose."""
+    """A generated expression: canonical form plus the first way it arose.
+    While its set is built, endop holds the ending rules fired so far."""
 
-    __slots__ = ("form", "decomps", "endop", "typeclass", "cls", "_witness")
+    __slots__ = ("form", "decomp", "endop", "typeclass", "cls", "_witness")
 
-    def __init__(self, form: CanonForm):
+    def __init__(self, form: CanonForm, decomp=None, endop: Optional[str] = None):
         self.form = form
-        self.decomps: list = []  # (op, left form, right form)
-        self.endop: Optional[str] = None
+        self.decomp: Optional[tuple] = decomp  # (op, left form, right form); None: atom
+        self.endop = endop
         self.typeclass: Optional[int] = None
         self.cls: Optional[OrbitClass] = None  # shared by the class's entries
         self._witness = None
@@ -121,10 +129,10 @@ class Family:
         """Expression tree of the first recorded construction."""
         entry = self.entry_of(form)
         if entry._witness is None:
-            if not entry.decomps:
+            if entry.decomp is None:
                 entry._witness = Var(next(iter(form.varset)))
             else:
-                op, left, right = entry.decomps[0]
+                op, left, right = entry.decomp
                 entry._witness = Node(op, self.witness(left), self.witness(right))
         return entry._witness
 
@@ -147,13 +155,20 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     n must lie in 1..MAX_N.  Subsets are processed by size then
     lexicographically; each unordered bipartition is visited once (the side
     containing the least element first), with both operand orders for - and
-    /.  Every entry records each (op, left, right) that produced it, in
-    that order; the first is its witness.
+    /.  Every entry keeps the first (op, left, right) that produced it, its
+    witness.
 
     Each operand pair is combined once under all the ops, in the order
     (left side, right side), by ``canon.combine_pair``.  The reversed
     results of - and /, the negation and the reciprocal of the ones just
     combined, come from ``canon.swap_operands``.
+
+    If ``check_classifiable`` passes the ops, each (op, left, right) fires
+    the rule of op when both operands' ending operators, final since their
+    sets are complete, are in ``_END_RULES[op]`` and, for -, the right
+    operand is first type (its negation is not in its set).  An atom ends
+    with *, and ``classify_endops`` closes each complete set.  Otherwise
+    every endop stays None.
     """
     if not 1 <= n <= MAX_N:
         raise LimitExceeded(f"n={n} outside 1..{MAX_N}")
@@ -161,14 +176,23 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     family = Family(n, ops_t)
     combine_pair, swap_operands = canon.combine_pair, canon.swap_operands
     table = PolyTable()
+    classify = _classifiable(ops_t)
+    rules = {op: _END_RULES[op] for op in ops_t} if classify else {}
+    ends = (None, *canon.OPS)
+    # fires[a, b]: the ops whose rule accepts operands ending with a and b
+    fires = {(a, b): "".join(op for op, ok in rules.items() if a in ok and b in ok)
+             for a in ends for b in ends}
+    negation = table.negation
+    first_type: dict = {}  # operand subset -> its forms whose negation it lacks
     for size in range(1, n + 1):
         for subset in combinations(range(1, n + 1), size):
             fs = frozenset(subset)
             entries: dict = {}
+            family.sets[fs] = AESet(subset, entries)
             if size == 1:
                 a = canon.atom(subset[0], table)
-                entries[a] = AEntry(a)
-                family.sets[fs] = AESet(subset, entries)
+                entries[a] = AEntry(a, None, "*" if classify else None)
+                first_type[fs] = {a}
                 continue
             first, rest = subset[0], subset[1:]
             for mask in range(2 ** len(rest) - 1):
@@ -178,22 +202,37 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 right = fs - left
                 left_entries = family.sets[left].entries
                 right_entries = family.sets[right].entries
-                for e1 in left_entries:
-                    for e2 in right_entries:
+                left_first, right_first = first_type.get(left), first_type.get(right)
+                for e1, entry1 in left_entries.items():
+                    for e2, entry2 in right_entries.items():
+                        fired = swapped = fires[entry1.endop, entry2.endop]
+                        if "-" in fired:
+                            if e2 not in right_first:
+                                fired = fired.replace("-", "")
+                            if e1 not in left_first:
+                                swapped = swapped.replace("-", "")
                         for op, res in combine_pair(e1, e2, ops_t, fs, table):
-                            _record(entries, res, (op, e1, e2))
+                            _record(entries, res, op, e1, e2, op in fired)
                             if op in "-/":
                                 res = swap_operands(op, res, table)
-                                _record(entries, res, (op, e2, e1))
-            family.sets[fs] = AESet(subset, entries)
+                                _record(entries, res, op, e2, e1, op in swapped)
+            if classify:
+                classify_endops(entries)
+            if "-" in rules and size < n:
+                first_type[fs] = {
+                    f for f in entries if CanonForm(negation(f.num), f.den, fs) not in entries
+                }
     return family
 
 
-def _record(entries: dict, form: CanonForm, decomp: tuple) -> None:
+def _record(entries: dict, form: CanonForm, op: str, left, right, fires: bool) -> None:
+    """Store form = left op right, with that as its witness if it is new;
+    if the rule of op fires, add op to the rules fired so far."""
     entry = entries.get(form)
     if entry is None:
-        entry = entries[form] = AEntry(form)
-    entry.decomps.append(decomp)
+        entries[form] = AEntry(form, (op, left, right), op if fires else None)
+    elif fires and op not in (entry.endop or ""):
+        entry.endop = (entry.endop or "") + op
 
 
 def _ops_tuple(ops: str) -> tuple:
@@ -266,11 +305,6 @@ def compute_orbits(aeset: AESet, n: int) -> Orbits:
 # -- classification -----------------------------------------------------------
 
 
-def is_first_type(form: CanonForm, family: Family) -> bool:
-    """First type: the negation is not a constructible expression."""
-    return canon.negate(form) not in family.sets[form.varset].entries
-
-
 def check_classifiable(ops: str) -> None:
     """Reject fragments with - but no +, or / but no *, then any ops that
     generate would reject.
@@ -279,53 +313,28 @@ def check_classifiable(ops: str) -> None:
     as a / (b * c), so without those operators some expressions match no
     rule.
     """
-    if "-" in ops and "+" not in ops or "/" in ops and "*" not in ops:
+    if not _classifiable(ops):
         raise UnsupportedOps(
             f"ops {ops!r} cannot be classified: '-' needs '+' and '/' needs '*'"
         )
     _ops_tuple(ops)
 
 
-def classify_endops(family: Family) -> None:
-    """Assign the ending operator to every entry of every subset, bottom-up.
+def _classifiable(ops) -> bool:
+    return ("-" not in ops or "+" in ops) and ("/" not in ops or "*" in ops)
 
-    Exactly one rule must fire per entry; anything else is a hard failure
-    of the classification laws and raises.
+
+def classify_endops(entries: dict) -> None:
+    """Close a complete set of a classifying build: exactly one ending rule
+    must have fired for each entry, which leaves endop its ending operator.
+    Anything else is a hard failure of the classification laws and raises.
     """
-    # family.sets insertion order is by subset size, so operands of every
-    # decomposition are already classified when their parent is reached
-    first_type: dict = {}  # right operand of a - -> is_first_type, each tested once
-    for aeset in family.sets.values():
-        for form, entry in aeset.entries.items():
-            if entry.endop is None:
-                entry.endop = _endop_of(form, entry, family, first_type)
-
-
-def _endop_of(form: CanonForm, entry: AEntry, family: Family, first_type: dict) -> str:
-    if len(form.varset) == 1:
-        return "*"
-    fired: set = set()
-    for op, fa, fb in entry.decomps:
-        if op in fired:
-            continue
-        end_a = family.entry_of(fa).endop
-        end_b = family.entry_of(fb).endop
-        if op == "-":
-            if end_a in ("+", "*", "/") and end_b in ("+", "*", "/"):
-                first = first_type.get(fb)
-                if first is None:
-                    first = first_type[fb] = is_first_type(fb, family)
-                if first:
-                    fired.add("-")
-        else:
-            allowed = _END_RULES[op]
-            if end_a in allowed and end_b in allowed:
-                fired.add(op)
-    if not fired:
-        raise ClassificationEmpty(f"no ending rule fired for {form!r}")
-    if len(fired) > 1:
-        raise ClassificationAmbiguous(f"rules {sorted(fired)} all fired for {form!r}")
-    return fired.pop()
+    for form, entry in entries.items():
+        fired = entry.endop
+        if fired is None:
+            raise ClassificationEmpty(f"no ending rule fired for {form!r}")
+        if len(fired) > 1:
+            raise ClassificationAmbiguous(f"rules {sorted(fired)} all fired for {form!r}")
 
 
 def classify_types(aeset: AESet) -> None:
@@ -396,8 +405,8 @@ def summarize(n: int, ops: str = "+-*/", dump=None) -> tuple:
 
     The family is dropped on return, while the collector is still off.
     """
+    check_classifiable(ops)
     family = generate(n, ops=ops)
-    classify_endops(family)
     aeset = family.full_set()
     orbits = compute_orbits(aeset, n)
     if dump is not None:
@@ -444,13 +453,12 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
     check_classifiable(ops)
     report = VerifyReport()
     rng = random.Random(seed)
-    family = generate(n_max, ops=ops)
     try:
-        classify_endops(family)
-        report.add("ending-rule-partition", n_max, True)
+        family = generate(n_max, ops=ops)
     except (ClassificationEmpty, ClassificationAmbiguous) as exc:
         report.add("ending-rule-partition", n_max, False, str(exc))
         return report
+    report.add("ending-rule-partition", n_max, True)
     all_ops = set(ops) == set(canon.OPS)
     engine = counting.class_counts(n_max) if all_ops else None
     sp_ops = set(ops) == {"+", "*"}
@@ -545,15 +553,11 @@ def _check_invariance(orbits: Orbits) -> bool:
 
 
 def _check_three_var_listing(entries: dict) -> bool:
-    from .exprtree import parse, to_canon
-
     expected = {to_canon(parse(t)) for t in reference.THREE_VAR_EXPRESSIONS}
     return len(expected) == 68 and expected == set(entries)
 
 
 def _check_class_listing(orbits: Orbits, listed: list) -> bool:
-    from .exprtree import parse, to_canon
-
     expected = {canon.orbit_key(to_canon(parse(t))) for t in listed}
     return expected == {c.key for c in orbits.classes}
 
@@ -569,8 +573,8 @@ def _check_class_operations(family: Family, rng: random.Random) -> bool:
         left = rng.choice(subsets)
         # for n >= 2 each proper subset misses a singleton, so this pool has one
         right = rng.choice([s for s in subsets if not (s & left)])
-        f = _random_entry(family.sets[left].entries, rng)
-        g = _random_entry(family.sets[right].entries, rng)
+        f = rng.choice(list(family.sets[left].entries))
+        g = rng.choice(list(family.sets[right].entries))
         f2 = canon.apply_perm(_random_perm_of(left, rng), f)
         g2 = canon.apply_perm(_random_perm_of(right, rng), g)
         op = rng.choice(family.ops)
@@ -580,11 +584,6 @@ def _check_class_operations(family: Family, rng: random.Random) -> bool:
         if a not in entries or b not in entries or entries[a].cls is not entries[b].cls:
             return False
     return True
-
-
-def _random_entry(entries: dict, rng: random.Random) -> CanonForm:
-    forms = list(entries)
-    return forms[rng.randrange(len(forms))]
 
 
 def _random_perm_of(varset: frozenset, rng: random.Random) -> dict:

@@ -7,7 +7,7 @@ of the input numbers (duplicates included).  Hits are grouped into
 isomorphism classes by orbit key.
 
 Each form of a proper subset of {1..n} is evaluated once, bottom-up
-through its first recorded decomposition (its witness tree), as an
+through its recorded decomposition (its witness tree), as an
 integer pair (N, D): an atom x_i = p/q is (p, q), and pairs combine by the
 cross-multiplication rules of ``canon.combine``.  combine only flips
 signs, so (N, D) = c * (num(x), den(x)) with c plus or minus the product
@@ -19,7 +19,7 @@ defined counts as a domain extension and is flagged rather than silently
 kept or dropped.
 
 The forms on all of {1..n}, which are never operands, are not evaluated
-one by one.  Each is a op b, its first decomposition, with a and b on
+one by one.  Each is a op b, its recorded decomposition, with a and b on
 complementary variable sets; given a, the hit test is linear in b's pair
 (x, y), c1*x + c2*y = 0, so b must be the point -c2:c1.  The forms are
 grouped by operator and by the operand on the side with fewer forms;
@@ -137,8 +137,8 @@ class _Program:
         self.left = array("i")
         self.right = array("i")
         for entry in proper:
-            if entry.decomps:
-                op, fa, fb = entry.decomps[0]
+            if entry.decomp:
+                op, fa, fb = entry.decomp
                 ops.append(op)
                 self.left.append(position[id(fa)])
                 self.right.append(position[id(fb)])
@@ -152,7 +152,7 @@ class _Program:
         few = sum(len(family.sets[varset].entries) for varset in first if 2 * len(varset) <= n)
         rows = {op: ([None] * few, [None] * few) for op in family.ops}
         for k, entry in enumerate(self.entries if n > 1 else ()):
-            op, fa, fb = entry.decomps[0]
+            op, fa, fb = entry.decomp
             a, b = position[id(fa)], position[id(fb)]
             if a < b:
                 row, small, other = rows[op][1], a, b

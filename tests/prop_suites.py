@@ -241,8 +241,8 @@ def plain_scan_hits(family, numbers, target):
         if not varset <= level:
             continue
         for form, entry in aeset.entries.items():
-            if entry.decomps:
-                op, left, right = entry.decomps[0]
+            if entry.decomp:
+                op, left, right = entry.decomp
                 a, b = value[left], value[right]
                 v = UNDEFINED if a is UNDEFINED or b is UNDEFINED else _PROJECTIVE_OPS[op](a, b)
             else:

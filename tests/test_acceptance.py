@@ -40,7 +40,6 @@ def _run_cli(*argv):
 def family5_data():
     start = time.monotonic()
     family = oracle.generate(5)
-    oracle.classify_endops(family)
     elapsed = time.monotonic() - start
     return family, elapsed
 
@@ -163,7 +162,6 @@ def test_criterion_05_oracle_vs_engine(family5_data, engine17):
 def test_criterion_05_deep_oracle_vs_engine_n6(family6_data):
     family, _ = family6_data
     start = time.monotonic()
-    oracle.classify_endops(family)
     aeset = family.full_set(6)
     orbits = oracle.compute_orbits(aeset, 6)
     assert len(orbits) == 2844

@@ -17,28 +17,37 @@ from arithex.oracle import (
     _check_invariance,
     _check_type2_pairing,
     category_table,
-    classify_endops,
     classify_type,
     compute_orbits,
     dump_lines,
     generate,
-    is_first_type,
     verify,
 )
+
+FRAGMENTS = ["".join(c) for r in range(1, 5) for c in combinations("+-*/", r)]
+# every fragment where - comes with + and / with *
+CLASSIFIABLE = ["+", "*", "+-", "+*", "*/", "+-*", "+*/", "+-*/"]
+
+# the ending rules, copied: operand ending operators that let a combination
+# inherit the operator; - also needs a first-type right operand
+END_RULES = {"+": ("+", "*", "/"), "-": ("+", "*", "/"), "*": ("-", "+", "*"), "/": ("+", "-", "*")}
 
 
 @pytest.fixture(scope="module")
 def family4():
-    fam = generate(4)
-    classify_endops(fam)
-    return fam
+    return generate(4)
 
 
 @pytest.fixture(scope="module")
 def family5():
-    fam = generate(5)
-    classify_endops(fam)
-    return fam
+    return generate(5)
+
+
+@pytest.fixture(scope="module")
+def decomps4():
+    """Every decomposition of every form on a subset of {1..4}, from the
+    reference loop: form -> [(op, left, right), ...] in generation order."""
+    return {f: decomps for _, forms in _reference_generate(4, "+-*/") for f, _, decomps in forms}
 
 
 def form(text):
@@ -112,9 +121,12 @@ def test_recorded_decompositions_recombine_to_their_form(family4):
     # combine through a fresh table must give the same form
     for aeset in family4.sets.values():
         for form, entry in aeset.entries.items():
-            for op, a, b in entry.decomps:
-                res = canon.combine(op, a, b)
-                assert res == form and res.varset == form.varset
+            if entry.decomp is None:
+                assert len(form.varset) == 1
+                continue
+            op, a, b = entry.decomp
+            res = canon.combine(op, a, b)
+            assert res == form and res.varset == form.varset
 
 
 def _cross_multiplied(op, f, g):
@@ -130,9 +142,7 @@ def _cross_multiplied(op, f, g):
     return canon._normalized(num, den)
 
 
-@pytest.mark.parametrize(
-    "ops", ["".join(c) for r in range(1, 5) for c in combinations("+-*/", r)]
-)
+@pytest.mark.parametrize("ops", FRAGMENTS)
 def test_combine_pair_matches_combine(family4, ops):
     # random operand pairs on disjoint subsets; the results come in the
     # order of ops, given as generate gives it and reversed
@@ -175,8 +185,7 @@ def test_stored_forms_share_polynomials(family5):
     # only / flips a sign (when its divisor's numerator is not monic), and
     # - stores the negation of F2*G1, so which negations are stored depends
     # on the operator fragment
-    fragments = ["".join(c) for r in range(1, 5) for c in combinations("+-*/", r)]
-    for family in (family5, *(generate(4, ops) for ops in fragments)):
+    for family in (family5, *(generate(4, ops) for ops in FRAGMENTS)):
         polys = [
             p
             for aeset in family.sets.values()
@@ -188,9 +197,8 @@ def test_stored_forms_share_polynomials(family5):
 
 def test_stored_forms_have_unit_coefficients_and_no_shared_monomial(family5):
     assert prop_suites.check_unit_forms(family5) == 33737
-    for r in range(1, 5):
-        for ops in combinations("+-*/", r):
-            assert prop_suites.check_unit_forms(generate(4, "".join(ops))) > 0
+    for ops in FRAGMENTS:
+        assert prop_suites.check_unit_forms(generate(4, ops)) > 0
 
 
 def _reference_generate(n, ops):
@@ -228,24 +236,94 @@ def _reference_generate(n, ops):
 
 def _generated(family):
     return [
-        (aeset.subset, [(f, f.varset, e.decomps) for f, e in aeset.entries.items()])
+        (aeset.subset, [(f, f.varset, e.decomp) for f, e in aeset.entries.items()])
         for aeset in family.sets.values()
     ]
 
 
-@pytest.mark.parametrize(
-    "ops", ["".join(c) for r in range(1, 5) for c in combinations("+-*/", r)]
-)
+def _first_decomps(reference):
+    """The reference sets with each entry's decompositions cut to the
+    first, None for an atom."""
+    return [
+        (subset, [(f, varset, decomps[0] if decomps else None) for f, varset, decomps in forms])
+        for subset, forms in reference
+    ]
+
+
+@pytest.mark.parametrize("ops", FRAGMENTS)
 def test_generate_matches_reference_loop(ops):
-    # swapped - and / results are derived, not combined: subsets, entries,
-    # decompositions and their order must not change
-    assert _generated(generate(4, ops)) == _reference_generate(4, ops)
+    # swapped - and / results are derived, not combined: subsets, entries
+    # and their order must not change, and each entry keeps the first
+    # decomposition of the reference loop
+    assert _generated(generate(4, ops)) == _first_decomps(_reference_generate(4, ops))
 
 
 def test_generate_matches_reference_loop_n5(family5):
-    assert _generated(family5) == _reference_generate(5, "+-*/")
+    assert _generated(family5) == _first_decomps(_reference_generate(5, "+-*/"))
     polys = [p for aeset in family5.sets.values() for f in aeset.entries for p in (f.num, f.den)]
     assert len(set(polys)) == len({id(p) for p in polys}) == 5843
+
+
+def _scan_endops(reference, rules):
+    """Ending operator of every reference form by a scan over all its
+    decompositions, operands first, or the text of the first form where
+    not exactly one rule fires."""
+    endops, sets = {}, {}
+    for subset, forms in reference:
+        sets[frozenset(subset)] = {f for f, _, _ in forms}
+        for f, _, decomps in forms:
+            if not decomps:
+                endops[f] = "*"
+                continue
+            fired = {
+                op
+                for op, fa, fb in decomps
+                if endops[fa] in rules[op]
+                and endops[fb] in rules[op]
+                and (op != "-" or canon.negate(fb) not in sets[fb.varset])
+            }
+            if not fired:
+                return f"no ending rule fired for {f!r}"
+            if len(fired) > 1:
+                return f"rules {sorted(fired)} all fired for {f!r}"
+            endops[f] = fired.pop()
+    return endops
+
+
+def _built_endops(ops):
+    try:
+        family = generate(4, ops)
+    except (oracle.ClassificationEmpty, oracle.ClassificationAmbiguous) as exc:
+        return str(exc)
+    return {f: e.endop for aeset in family.sets.values() for f, e in aeset.entries.items()}
+
+
+@pytest.mark.parametrize("ops", CLASSIFIABLE)
+def test_endops_match_reference_rule_scan(ops, monkeypatch):
+    # the rules fire as each result is recorded, yet every entry gets the
+    # ending operator of a scan over all the decompositions it has; with a
+    # rule emptied or widened to every operator, the build fails on the
+    # form where the scan does, with its text
+    reference = _reference_generate(4, ops)
+    assert _built_endops(ops) == _scan_endops(reference, END_RULES)
+    for op in ops:
+        for rule in ((), canon.OPS):
+            with monkeypatch.context() as m:
+                m.setitem(oracle._END_RULES, op, rule)
+                expected = _scan_endops(reference, {**END_RULES, op: rule})
+                assert _built_endops(ops) == expected, (op, rule)
+
+
+@pytest.mark.parametrize("ops", [ops for ops in FRAGMENTS if ops not in CLASSIFIABLE])
+def test_unclassifiable_fragments_leave_endop_unset(ops):
+    with pytest.raises(oracle.UnsupportedOps):
+        oracle.check_classifiable(ops)
+    with pytest.raises(oracle.UnsupportedOps):
+        oracle.summarize(4, ops)
+    family = generate(4, ops)
+    assert all(
+        entry.endop is None for aeset in family.sets.values() for entry in aeset.entries.values()
+    )
 
 
 def test_generate_memory_bound():
@@ -331,7 +409,6 @@ def test_class_key_requires_closure():
 
 def test_invariance_check_detects_a_changed_member():
     fam = generate(3)
-    classify_endops(fam)
     aeset = fam.full_set(3)
     orbits = compute_orbits(aeset, 3)
     assert _check_invariance(orbits)
@@ -343,7 +420,6 @@ def test_invariance_check_detects_a_changed_member():
 
 def test_type2_pairing_check_detects_a_self_paired_class():
     fam = generate(4)
-    classify_endops(fam)
     orbits = compute_orbits(fam.full_set(4), 4)
     assert _check_type2_pairing(orbits)
     cls = next(c for c in orbits.classes if orbits.entries[c.rep].typeclass == 2)
@@ -353,7 +429,6 @@ def test_type2_pairing_check_detects_a_self_paired_class():
 
 def test_class_operation_check_detects_split_classes():
     fam = generate(4)
-    classify_endops(fam)
     for k in range(1, 5):
         compute_orbits(fam.full_set(k), k)
     assert _check_class_operations(fam, random.Random(0))
@@ -413,15 +488,10 @@ def test_endop_examples_five_vars(family5):
 
 
 def test_every_entry_has_unique_endop(family4):
-    # classify_endops would have raised otherwise; spot check decomp scans
+    # generate's close step would have raised otherwise
     for aeset in family4.sets.values():
         for entry in aeset.entries.values():
             assert entry.endop in "+-*/"
-
-
-def test_first_type_via_membership(family4):
-    assert is_first_type(form("x1+x2*x3"), family4)
-    assert not is_first_type(form("x1-x2*x3"), family4)
 
 
 def test_classify_type_examples(family4):
@@ -455,13 +525,12 @@ def test_types_agree_between_pipeline_and_search(family4):
         assert entry.typeclass == classify_type(form_, aeset.entries)
 
 
-def test_sum_decomposition_flattening(family4):
+def test_sum_decomposition_flattening(family4, decomps4):
     # +-ending classes split into a decomposition-path-independent multiset
     # of summand classes, each ending * or /
     def summand_keys(f):
-        entry = family4.entry_of(f)
         options = set()
-        for op, a, b in entry.decomps:
+        for op, a, b in decomps4[f]:
             if op != "+":
                 continue
             parts = []
@@ -485,15 +554,14 @@ def test_sum_decomposition_flattening(family4):
                 assert len(summand_keys(form_)) >= 2
 
 
-def test_product_type_characterization(family4):
+def test_product_type_characterization(family4, decomps4):
     # Flatten a *-ending expression into its maximal factor multiset, each
     # factor sign-normalized to its monic version.  The type then reads off
     # the factor types: all first <=> first (the residual sign is forced to
     # +1 in that case), some third <=> third, else second.  Note the type
     # cannot depend on the residual sign alone: f and -f always share a type.
     def factors(f):
-        entry = family4.entry_of(f)
-        for op, a, b in entry.decomps:
+        for op, a, b in decomps4[f]:
             if op == "*":
                 out = []
                 for side in (a, b):
@@ -523,7 +591,7 @@ def test_product_type_characterization(family4):
         assert (entry.typeclass == 1) == (sign == 1 and all(t == 1 for t in monicized_types)), form_
 
 
-def test_quotient_type_characterization(family4):
+def test_quotient_type_characterization(family4, decomps4):
     # /-ending: third type iff monic and numerator or denominator class is
     # third type (over +,-,* pools)
     aeset = family4.full_set(4)
@@ -534,7 +602,7 @@ def test_quotient_type_characterization(family4):
             continue
         canonical_splits = [
             (a, b)
-            for op, a, b in entry.decomps
+            for op, a, b in decomps4[form_]
             if op == "/"
             and family4.entry_of(a).endop in "+-*"
             and family4.entry_of(b).endop in "+-*"
@@ -622,7 +690,6 @@ def test_build_leaves_no_cyclic_garbage():
         gc.collect()
         for ops in ("+-*/", "+-", "*/"):
             family = generate(4, ops)
-            classify_endops(family)
             del family
             assert gc.collect() == 0, ops
         oracle.summarize(4)
