@@ -13,13 +13,9 @@ result.  On top of the generated universe it computes isomorphism orbits
 and types, and cross-checks everything against the recurrence engine and
 the published reference values.
 
-A build makes no reference cycles, yet while the family grows the cyclic
-garbage collector makes hundreds of passes over its newest objects and
-some over all of it.  ``verify`` and ``summarize``, the build behind
-``arithex oracle``, therefore run with the collector held off and drop the
-family before it is back on.  ``generate`` itself is not wrapped: the
-solver's family outlives the build, and the passes a re-enabled collector
-owes would then walk the whole family during the next puzzles.
+A build makes no reference cycles, so reference counting alone frees it;
+the CLI relies on that and runs every command with the cyclic garbage
+collector off.
 
 An isomorphism class is the set of relabelings of any one member, so the
 classes of a full variable set are read off ``canon.orbit``.  One step
@@ -36,10 +32,8 @@ take the ``Orbits`` of ``compute_orbits`` and read each class record.
 
 from __future__ import annotations
 
-import gc
 import json
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Optional
@@ -384,27 +378,10 @@ def dump_lines(family: Family, orbits: Orbits) -> Iterator[dict]:
         }
 
 
-@contextmanager
-def _collector_paused():
-    """Hold off the cyclic garbage collector for the block, then restore
-    the state it found, on return and on raise."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@_collector_paused()
 def summarize(n: int, ops: str = "+-*/", dump=None) -> tuple:
     """Build and classify the level n: its ops in +-*/ order, identity
     count, class count and category table.  With a text file as dump, one
-    JSON line per class (``dump_lines``) is written to it.
-
-    The family is dropped on return, while the collector is still off.
-    """
+    JSON line per class (``dump_lines``) is written to it."""
     check_classifiable(ops)
     family = generate(n, ops=ops)
     aeset = family.full_set()
@@ -446,7 +423,6 @@ class VerifyReport:
         return [c.line() for c in self.checks]
 
 
-@_collector_paused()
 def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
     """Cross-check the generated universe against the engine and the
     published values; every mismatch becomes a failed check in the report."""

@@ -14,9 +14,10 @@ signs, so (N, D) = c * (num(x), den(x)) with c plus or minus the product
 of the numbers' denominators, and the hit test is exact: a finite target
 p/q is hit iff D != 0 and N*q = D*p, inf (as 1/0) iff D = 0 != N, and
 N = D = 0 is undefined -- what ``canon.eval_form`` gives.
-A point where the witness tree is undefined but the reduced form is
-defined counts as a domain extension and is flagged rather than silently
-kept or dropped.
+A witness tree is undefined exactly where its pair is 0:0, so exactly where
+its reduced form is, and a hit is never a domain extension: the
+``extension`` flag every solution carries (the JSON schema requires it)
+is always false.
 
 The forms on all of {1..n}, which are never operands, are not evaluated
 one by one.  Each is a op b, its recorded decomposition, with a and b on
@@ -73,7 +74,7 @@ class Solution:
     assignment: dict        # variable index -> Fraction
     value: EvalResult
     class_key: str
-    extension: bool         # reduced form defined where the tree is not
+    extension: bool         # tree undefined at a hit: never, kept for the schema
 
     def expr_text(self) -> str:
         return pretty(self.witness)

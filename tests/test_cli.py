@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import arithex
-from arithex import InputError, canon, mpoly, oracle, reference, solver
+from arithex import InputError, canon, cli, mpoly, oracle, reference, solver
 from arithex.cli import main
 from arithex.counting import BREAKDOWN_MAX_N, COUNT_MAX_N, class_counts
 from arithex.exprtree import DuplicateVariable, ExprSyntaxError, parse, to_canon
@@ -164,24 +164,39 @@ def test_oracle_json():
     assert payload["table"]["minus"]["third"] == 1
 
 
-def test_oracle_builds_with_the_collector_held_off(monkeypatch):
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (("count", "--max-n", "6"), 0),
+        (("oracle", "--n", "3", "--format", "json"), 0),
+        (("verify", "--max-n", "3"), 0),
+        (("solve", "--numbers", "1,5,6,7", "--target", "21"), 0),
+        (("classify", "--expr", "x1*(x2-x3)"), 0),
+        (("oracle", "--n", "6"), 2),
+    ],
+    ids=["count", "oracle", "verify", "solve", "classify", "input-error"],
+)
+def test_commands_run_with_the_collector_held_off(argv, status, enabled, monkeypatch):
+    # main holds the collector off around every command, and leaves it as
+    # it found it, also when the command fails
+    name = f"cmd_{argv[0]}"
+    command = getattr(cli, name)
     seen = []
-    build = oracle.generate
 
-    def generate(*args, **kwargs):
+    def wrapped(args):
         seen.append(gc.isenabled())
-        return build(*args, **kwargs)
+        return command(args)
 
-    monkeypatch.setattr(oracle, "generate", generate)
+    monkeypatch.setattr(cli, name, wrapped)
     was = gc.isenabled()
-    gc.enable()
+    (gc.enable if enabled else gc.disable)()
     try:
-        code, out = run_cli("oracle", "--n", "3", "--format", "json")
-        assert gc.isenabled()
+        code, _ = run_cli(*argv)
+        after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
-    assert code == 0 and seen == [False]
-    assert json.loads(out)["identity_count"] == 68
+    assert (code, seen, after) == (status, [False], enabled)
 
 
 def test_oracle_depth_guard():

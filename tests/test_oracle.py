@@ -1,12 +1,13 @@
 import gc
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import prop_suites
-from arithex import canon, oracle, reference
+from arithex import canon, oracle, reference, solver
 from arithex.exprtree import parse, pretty, to_canon
 from arithex.mpoly import PolyTable
 from arithex.oracle import (
@@ -23,6 +24,7 @@ from arithex.oracle import (
     generate,
     verify,
 )
+from arithex.projrat import INF
 
 FRAGMENTS = ["".join(c) for r in range(1, 5) for c in combinations("+-*/", r)]
 # every fragment where - comes with + and / with *
@@ -658,7 +660,9 @@ def test_verify_small_all_ops():
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_verify_holds_off_the_collector_and_restores_it(enabled, monkeypatch):
+def test_verify_and_summarize_leave_the_collector_to_the_caller(enabled, monkeypatch):
+    # the library changes no process-wide state: the build runs with the
+    # collector as the caller set it (the CLI holds it off)
     seen = []
     build = oracle.generate
 
@@ -671,19 +675,19 @@ def test_verify_holds_off_the_collector_and_restores_it(enabled, monkeypatch):
     (gc.enable if enabled else gc.disable)()
     try:
         assert verify(2).ok
-        assert gc.isenabled() is enabled
+        assert oracle.summarize(2)[1] == 6
         with pytest.raises(LimitExceeded):
             verify(7)
-        assert gc.isenabled() is enabled
+        after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
-    assert seen == [False, False]
+    assert (seen, after) == ([enabled] * 3, enabled)
 
 
 def test_build_leaves_no_cyclic_garbage():
-    # verify and summarize build with the collector off, so a build, its
-    # polynomial table and the table's negations must be freed by
-    # reference counting alone
+    # the CLI runs every command with the collector off, so a build, its
+    # polynomial table and the table's negations, and what solving on a
+    # family adds to it, must be freed by reference counting alone
     was = gc.isenabled()
     gc.disable()
     try:
@@ -693,6 +697,14 @@ def test_build_leaves_no_cyclic_garbage():
             del family
             assert gc.collect() == 0, ops
         oracle.summarize(4)
+        assert gc.collect() == 0
+        family = generate(5)
+        for numbers, target in (([1, 2, 3, 4, 5], 24), ([0, 1, 3, 10, 8], INF),
+                                (["1/2", -3, 4, 7, 2], Fraction(-3, 2))):
+            query = solver.make_query(numbers, target, want_all=True)
+            assert solver.solve(query, family)
+            assert gc.collect() == 0, numbers
+        del family, query
         assert gc.collect() == 0
     finally:
         (gc.enable if was else gc.disable)()
