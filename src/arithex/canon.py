@@ -312,22 +312,20 @@ class Relabelings:
         return pairs
 
 
-def _relabel_terms(terms, perm: Permutation, images: dict) -> list:
-    out = []
-    for m, c in terms:
-        image = images.get(m)
-        if image is None:
-            image = images[m] = tuple(sorted([perm.get(v, v) for v in m]))
-        out.append((image, c))
-    out.sort()
-    return out
-
-
 def _relabel(f: CanonForm, perm: Permutation, images: dict, varset: frozenset) -> CanonForm:
     """f relabeled through perm, monomial images read from and added to
     images; varset is the relabeled variable set."""
-    num_terms = _relabel_terms(f.num.terms, perm, images)
-    den_terms = _relabel_terms(f.den.terms, perm, images)
+    relabeled = []
+    for p in (f.num, f.den):
+        terms = []
+        for m, c in p.terms:
+            image = images.get(m)
+            if image is None:
+                image = images[m] = tuple(sorted([perm.get(v, v) for v in m]))
+            terms.append((image, c))
+        terms.sort()
+        relabeled.append(terms)
+    num_terms, den_terms = relabeled
     if den_terms[0][1] < 0:
         num_terms = [(m, -c) for m, c in num_terms]
         den_terms = [(m, -c) for m, c in den_terms]
@@ -351,13 +349,20 @@ def _require_contiguous(f: CanonForm) -> int:
 def _signature_cells(f: CanonForm, n: int) -> dict:
     """The variables of f on {1..n} by signature, each list increasing: the
     sorted (degree, |coefficient|) of the num and of the den terms holding
-    the variable, unchanged by relabeling and by a global sign flip."""
+    the variable, unchanged by relabeling and by a global sign flip.  One
+    pass over the terms collects every variable's signature."""
+    held = [([], []) for _ in range(n + 1)]  # v -> (num, den) term shapes
+    for side, p in enumerate((f.num, f.den)):
+        for m, c in p.terms:
+            shape = (len(m), abs(c))
+            for v in m:
+                held[v][side].append(shape)
     cells: dict = {}
     for v in range(1, n + 1):
-        sig = tuple(
-            tuple(sorted((len(m), abs(c)) for m, c in p.terms if v in m)) for p in (f.num, f.den)
-        )
-        cells.setdefault(sig, []).append(v)
+        num, den = held[v]
+        num.sort()
+        den.sort()
+        cells.setdefault((tuple(num), tuple(den)), []).append(v)
     return cells
 
 

@@ -48,6 +48,11 @@ def _merge_disjoint(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(a + b))
 
 
+# monomial -> its text, "x1*x3" for (1, 3) and "1" for (): built once per
+# monomial, shared by every polynomial that holds it
+_monomial_text: dict = {}
+
+
 class MultiPoly:
     """Immutable multilinear polynomial with canonical term order."""
 
@@ -176,7 +181,7 @@ class MultiPoly:
         Terms in lex order with single spaces around binary +/-, no leading
         ``+``, unit coefficients elided, the constant monomial as a bare
         integer: ``x1*x2 - x1*x3*x5 + x2*x4 - x3*x4*x5``.  Computed once
-        per polynomial.
+        per polynomial, from monomial texts built once per monomial.
         """
         if self._text is None:
             self._text = self._serialize()
@@ -185,19 +190,18 @@ class MultiPoly:
     def _serialize(self) -> str:
         if not self.terms:
             return "0"
+        texts = _monomial_text
         parts = []
-        for k, (m, c) in enumerate(self.terms):
-            mag = abs(c)
-            if m:
-                body = "*".join(f"x{v}" for v in m)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            else:
-                body = str(mag)
-            if k == 0:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append((" + " if c > 0 else " - ") + body)
+        for m, c in self.terms:
+            body = texts.get(m)
+            if body is None:
+                body = texts[m] = "*".join([f"x{v}" for v in m]) or "1"
+            if c != 1 and c != -1:
+                body = f"{abs(c)}*{body}" if m else str(abs(c))
+            parts.append(" + " + body if c > 0 else " - " + body)
+        # every part opens with its operator; the first one drops it
+        first = parts[0]
+        parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(parts)
 
 

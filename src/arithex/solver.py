@@ -17,7 +17,7 @@ N = D = 0 is undefined -- what ``canon.eval_form`` gives.
 A witness tree is undefined exactly where its pair is 0:0, so exactly where
 its reduced form is, and a hit is never a domain extension: the
 ``extension`` flag every solution carries (the JSON schema requires it)
-is always false.
+is always false, and no witness tree is evaluated to set it.
 
 The forms on all of {1..n}, which are never operands, are not evaluated
 one by one.  Each is a op b, its recorded decomposition, with a and b on
@@ -38,8 +38,9 @@ The first hit of a class records the class on every stored member, as
 ``oracle.compute_orbits`` does (``Family.class_key``); recording all 500
 classes at n = 5 adds about 0.85 MB, mostly cached polynomial text.  A
 puzzle then runs one loop over plain ints and one lookup per group, and
-keeps only the set of class keys it has seen.  The first puzzle on a
-family costs about what a solve without this state does.
+keeps only the set of class keys it has seen.  The first puzzles on a
+family pay for this state, and keying their classes is most of their
+cost.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ from typing import Optional
 
 from . import oracle
 from .errors import InputError
+# solve evaluates no tree; eval_tree stays bound because perfbench/tracer.py
+# wraps solver.eval_tree
 from .exprtree import ExprTree, eval_tree, pretty
-from .projrat import INF, UNDEFINED, EvalResult, ProjValue, fmt
+from .projrat import INF, EvalResult, ProjValue, fmt
 
 
 class TooManyNumbers(InputError):
@@ -281,15 +284,13 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
             seen.add(key)
         elif not query.want_all:
             continue
-        witness = family.witness(entry.form)
-        tree_value = eval_tree(witness, assignment)
         solutions.append(
             Solution(
-                witness=witness,
+                witness=family.witness(entry.form),
                 assignment=assignment,
                 value=query.target,
                 class_key=key,
-                extension=tree_value is UNDEFINED,
+                extension=False,
             )
         )
     return solutions

@@ -8,6 +8,7 @@ from arithex.canon import (
     Relabelings,
     OverlappingVariables,
     VariableNotPresent,
+    _signature_cells,
     all_perms,
     apply_perm,
     assign_zero,
@@ -26,6 +27,7 @@ from arithex.canon import (
 )
 from arithex.exprtree import parse, to_canon
 from arithex.mpoly import MultiPoly, PolyTable
+from arithex.oracle import generate
 from arithex.projrat import INF, UNDEFINED
 
 F = Fraction
@@ -185,6 +187,33 @@ def test_orbit_walks_one_relabeling_per_twin_coset(text, walked):
     relabels = Relabelings(n)
     assert orbit(f, relabels) == {apply_perm(p, f) for p in all_perms(n)}
     assert sum(len(pairs) for pairs in relabels._transversals.values()) == walked
+
+
+def per_variable_signature_cells(f: CanonForm, n: int) -> dict:
+    """The signature cells with one pass over the terms per variable."""
+    cells: dict = {}
+    for v in range(1, n + 1):
+        sig = tuple(
+            tuple(sorted((len(m), abs(c)) for m, c in p.terms if v in m)) for p in (f.num, f.den)
+        )
+        cells.setdefault(sig, []).append(v)
+    return cells
+
+
+def test_signature_cells_match_the_per_variable_definition():
+    family = generate(5)
+    checked = 0
+    for varset, aeset in family.sets.items():
+        if varset != frozenset(range(1, len(varset) + 1)):
+            continue
+        n = len(varset)
+        for f in aeset.entries:
+            # same cells, listed in the same order
+            assert list(_signature_cells(f, n).items()) == list(
+                per_variable_signature_cells(f, n).items()
+            )
+            checked += 1
+    assert checked == 1 + 6 + 68 + 1170 + 27142
 
 
 def test_assign_zero_form_case():

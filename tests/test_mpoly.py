@@ -13,6 +13,7 @@ from arithex.mpoly import (
     ZeroPolynomial,
     disjoint_factors,
 )
+from arithex.oracle import generate
 
 V = MultiPoly.variable
 C = MultiPoly.constant
@@ -155,6 +156,60 @@ def test_text_format():
     assert P(((1,), 2), ((2, 3), -4)).text() == "2*x1 - 4*x2*x3"
     p = P(((1,), 1), ((2,), 1))
     assert p.text() is p.text()  # serialized once
+
+
+def reference_text(p: MultiPoly) -> str:
+    """Reference serializer: every term's text built afresh, with no shared table."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for k, (m, c) in enumerate(p.terms):
+        mag = abs(c)
+        if m:
+            body = "*".join(f"x{v}" for v in m)
+            if mag != 1:
+                body = f"{mag}*{body}"
+        else:
+            body = str(mag)
+        if k == 0:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append((" + " if c > 0 else " - ") + body)
+    return "".join(parts)
+
+
+def test_text_matches_reference_on_every_stored_polynomial():
+    family = generate(5)
+    polys = {p for aeset in family.sets.values() for f in aeset.entries for p in (f.num, f.den)}
+    assert len(polys) > 5000
+    for p in polys:
+        assert p.text() == reference_text(p)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        (((2, 10), 1),),  # x10*x2 sorts as x2*x10
+        (((10, 12), -1), ((3,), 1)),
+        (((), 1),),
+        (((), -1), ((1, 11), 1)),
+        (((), 7), ((4,), -12), ((2, 10, 13), 3)),
+        (((), -25), ((10,), -1)),
+        (((1, 2), -2), ((1, 3), 1), ((5,), 100)),
+    ],
+)
+def test_text_matches_reference_on_handmade_polynomials(terms):
+    p = P(*terms)
+    assert p.text() == reference_text(p)
+
+
+def test_monomial_text_shared_between_polynomials():
+    # the text of x14*x27 is built for the first polynomial, read for the rest
+    first = P(((14, 27), 1), ((3,), -1))
+    assert first.text() == "-x3 + x14*x27"
+    for other in (P(((14, 27), -1)), P(((14, 27), 5), ((), 2)), P(((14, 27), -3), ((29,), 1))):
+        assert other.text() == reference_text(other)
+    assert P(((14, 27), -3), ((29,), 1)).text() == "-3*x14*x27 + x29"
 
 
 def test_disjoint_factors_simple():
