@@ -42,7 +42,8 @@ generated form.  No polynomial gcd is taken either: with disjoint operand
 variables the cross product of reduced forms stays reduced, an assumption
 the test suite guards with randomized functional-equality checks.  Zero
 assignment is the one operation that can surface a common factor, and it
-cancels factors via verified disjoint-variable factorization.
+cancels it by a slice on the variables the quotient no longer depends on,
+checked by cross-multiplication (see ``reduce_quotient``).
 
 Work repeated across a build is done once.  ``combine_pair`` combines
 one operand pair under several operators in one pass: it takes each cross
@@ -77,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
-from .mpoly import ONE, MultiPoly, PolyTable, disjoint_factors
+from .mpoly import ONE, MultiPoly, PolyTable
 from .projrat import EvalResult, UNDEFINED, p_div
 
 OPS = ("+", "-", "*", "/")
@@ -473,27 +474,74 @@ class ZeroAssignResult:
     den: Optional[MultiPoly] = None
 
 
-def reduce_quotient(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Cancel the common disjoint-variable factors.
+def _gen_mul(a, b) -> dict:
+    """General sparse product of two term sequences; a monomial of the
+    product is a sorted tuple that may repeat a variable."""
+    out: dict = {}
+    for ma, ca in a:
+        for mb, cb in b:
+            m = tuple(sorted(ma + mb))
+            nc = out.get(m, 0) + ca * cb
+            if nc:
+                out[m] = nc
+            elif m in out:
+                del out[m]
+    return out
 
-    A zero assignment only drops terms of a form, so both sides keep
-    coefficients +-1 and content 1; there is no content to divide out.
+
+def reduce_quotient(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """Cancel the factor common to num and den, nonzero with coefficients
+    +-1: a zero assignment only drops terms of a form, so there is no
+    content to divide out.
+
+    Write num = G*A and den = G*B with A/B reduced.  The common factor is
+    cancelled by a slice on W, the variables of both sides on which the
+    quotient does not depend, and the slice is exact:
+
+    - every factorization of a multilinear polynomial is variable-disjoint,
+      since a variable in two factors would have degree 2 in the product;
+      so G lies on variables that A and B do not hold;
+    - a reduced quotient that does not depend on x_v contains no x_v.  Its
+      derivative in x_v has numerator A1*B0 - A0*B1, where A = x_v*A1 + A0
+      and B = x_v*B1 + B0.  If that vanishes, A*B1 == A1*B, so B, prime to
+      A, divides B1, which has a lower degree in x_v: B1 = 0, then A1 = 0;
+    - so W is exactly the set of variables of G: those lie on both sides
+      and in neither A nor B, and the quotient depends on every variable of
+      A or B.  Each shared variable is tested once, as N1*D0 == N0*D1 on
+      the splits of num and den.
+
+    Grouping the terms of num by their part on W then gives c_m*A for each
+    monomial m of G with coefficient c_m, and those of den give c_m*B; the
+    coefficients of num force c_m = +-1.  So the terms whose part on W is
+    that of num's first term, with W removed, are A and B up to one common
+    sign.  The slices must cross-multiply to num and den, else this raises
+    RuntimeError.
     """
-    if num.variables() & den.variables():
-        n_sign, n_cont, n_factors = disjoint_factors(num)
-        d_sign, d_cont, d_factors = disjoint_factors(den)
-        shared = [q for q in n_factors if q in d_factors]
-        if shared:
-            for q in shared:
-                n_factors.remove(q)
-                d_factors.remove(q)
-            num = MultiPoly.constant(n_sign * n_cont)
-            for q in n_factors:
-                num = num.mul_disjoint(q)
-            den = MultiPoly.constant(d_sign * d_cont)
-            for q in d_factors:
-                den = den.mul_disjoint(q)
-    return num, den
+    dropped = set()
+    for v in num.variables() & den.variables():
+        n1, n0 = num.decompose(v)
+        d1, d0 = den.decompose(v)
+        if _gen_mul(n1.terms, d0.terms) == _gen_mul(n0.terms, d1.terms):
+            dropped.add(v)
+    if not dropped:
+        return num, den
+    lead = tuple(v for v in num.terms[0][0] if v in dropped)
+    slices = []
+    for p in (num, den):
+        kept = [
+            (tuple(v for v in m if v not in dropped), c)
+            for m, c in p.terms
+            if tuple(v for v in m if v in dropped) == lead
+        ]
+        kept.sort()  # dropping W can reorder: (1, 2) < (2,), but (1,) > ()
+        slices.append(MultiPoly(kept))
+    a, b = slices
+    if _gen_mul(a.terms, den.terms) != _gen_mul(b.terms, num.terms):
+        raise RuntimeError(
+            f"no common factor on variables {sorted(dropped)} of "
+            f"({num.text()}) / ({den.text()})"
+        )
+    return a, b
 
 
 def assign_zero(f: CanonForm, i: int) -> ZeroAssignResult:

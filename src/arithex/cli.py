@@ -328,11 +328,7 @@ def cmd_classify(args) -> int:
     if args.against:
         other = to_canon(parse_expr(args.against))
         other_work = canon.relabel_contiguous(other)
-        iso = (
-            canon.is_isomorphic(work, other_work) is not None
-            if len(other_work.varset) == n
-            else False
-        )
+        iso = canon.is_isomorphic(work, other_work) is not None
     if args.json:
         payload = {
             "expr": pretty(tree),

@@ -36,10 +36,6 @@ class MissingAssignment(KeyError):
     """Evaluation point does not cover every variable of the polynomial."""
 
 
-class FactorizationError(RuntimeError):
-    """Internal consistency failure while splitting off a disjoint factor."""
-
-
 def _merge_disjoint(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -118,16 +114,6 @@ class MultiPoly:
             for mb, cb in other.terms:
                 out.append((_merge_disjoint(ma, mb), ca * cb))
         out.sort()
-        return MultiPoly(out)
-
-    def divide_content(self, k: int) -> "MultiPoly":
-        """Divide every coefficient by ``k`` (must divide exactly)."""
-        out = []
-        for m, c in self.terms:
-            q, r = divmod(c, k)
-            if r:
-                raise ValueError(f"{k} does not divide coefficient {c}")
-            out.append((m, q))
         return MultiPoly(out)
 
     def leading(self) -> tuple[Monomial, int]:
@@ -242,126 +228,3 @@ class PolyTable:
             neg = self.negations[p] = self.intern(-p)
             self.negations[neg] = p
         return neg
-
-
-# ---------------------------------------------------------------------------
-# Disjoint-variable factorization.
-#
-# A multilinear polynomial may split as a product of polynomials on pairwise
-# disjoint variable sets (e.g. x1*x4 + x2*x4 = (x1 + x2) * x4).  Substituting
-# zero into a reduced quotient can surface such factors common to numerator
-# and denominator, so the quotient machinery needs to find and cancel them.
-#
-# Two variables u, v must live in the same factor unless the four-way split
-# P = uv*A + u*B + v*C + D satisfies A*D == B*C: if P = Q*R with u in Q and
-# v in R, then A = Q1*R1, B = Q1*R0, C = Q0*R1, D = Q0*R0, which forces the
-# identity.  The products here may repeat variables, so they are computed
-# with a small general (non-multilinear) helper.  Candidate factors found
-# through the induced components are verified by exact division; failure is
-# loud, never silent.
-# ---------------------------------------------------------------------------
-
-
-def _gen_mul(a: dict, b: dict) -> dict:
-    """General sparse product; monomials are sorted tuples possibly repeating."""
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(sorted(ma + mb))
-            nc = out.get(m, 0) + ca * cb
-            if nc:
-                out[m] = nc
-            elif m in out:
-                del out[m]
-    return out
-
-
-def _pair_separable(p: MultiPoly, u: int, v: int) -> bool:
-    """True if u and v can possibly live in different disjoint factors of p."""
-    a, b, c, d = {}, {}, {}, {}
-    for m, coef in p.terms:
-        has_u, has_v = u in m, v in m
-        stripped = tuple(x for x in m if x != u and x != v)
-        if has_u and has_v:
-            a[stripped] = coef
-        elif has_u:
-            b[stripped] = coef
-        elif has_v:
-            c[stripped] = coef
-        else:
-            d[stripped] = coef
-    return _gen_mul(a, d) == _gen_mul(b, c)
-
-
-def _components(p: MultiPoly) -> list[frozenset]:
-    """Partition variables(p) into groups that must share a factor."""
-    vs = sorted(p.variables())
-    parent = {v: v for v in vs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if find(u) != find(v) and not _pair_separable(p, u, v):
-                parent[find(u)] = find(v)
-    groups: dict = {}
-    for v in vs:
-        groups.setdefault(find(v), []).append(v)
-    return [frozenset(g) for g in groups.values()]
-
-
-def _extract_factor(p: MultiPoly, comp: frozenset) -> tuple[MultiPoly, MultiPoly]:
-    """Split ``p = q * r`` with variables(q) == comp; q monic with content 1."""
-    outside: dict = {}
-    for m, c in p.terms:
-        m_out = tuple(v for v in m if v not in comp)
-        m_in = tuple(v for v in m if v in comp)
-        outside.setdefault(m_out, []).append((m_in, c))
-    # Any single outside-group is a constant multiple of the factor on comp.
-    sample = MultiPoly(sorted(outside[min(outside)]))
-    q = sample.divide_content(sample.content())
-    if not q.is_monic():
-        q = -q
-    lead_m, lead_c = q.leading()
-    r_terms = []
-    for m, c in p.terms:
-        if tuple(v for v in m if v in comp) == lead_m:
-            quot, rem = divmod(c, lead_c)
-            if rem:
-                raise FactorizationError(f"non-integral cofactor for component {sorted(comp)}")
-            r_terms.append((tuple(v for v in m if v not in comp), quot))
-    r = MultiPoly(sorted(r_terms))
-    if q.mul_disjoint(r) != p:
-        raise FactorizationError(f"verified division failed for component {sorted(comp)}")
-    return q, r
-
-
-def disjoint_factors(p: MultiPoly) -> tuple[int, int, list[MultiPoly]]:
-    """Factor ``p`` as sign * content * product of disjoint-variable factors.
-
-    Each returned factor is monic with content 1, and no factor splits
-    further into polynomials on disjoint variable sets.
-    """
-    if not p:
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    content = p.content()
-    sign = 1 if p.is_monic() else -1
-    core = p.divide_content(sign * content)
-    if not core.variables():
-        return sign, content, []
-    factors = []
-    comps = sorted(_components(core), key=min)
-    for comp in comps[:-1]:
-        q, core = _extract_factor(core, comp)
-        factors.append(q)
-        if not core.is_monic():
-            # the flip that made q monic lands in the cofactor
-            core = -core
-            sign = -sign
-    factors.append(core)
-    factors.sort(key=lambda f: f.terms)
-    return sign, content, factors

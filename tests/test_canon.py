@@ -26,8 +26,8 @@ from arithex.canon import (
     swap_operands,
 )
 from arithex.exprtree import parse, to_canon
-from arithex.mpoly import MultiPoly, PolyTable
-from arithex.oracle import generate
+from arithex.mpoly import ONE, MultiPoly, PolyTable
+from arithex.oracle import compute_orbits, generate
 from arithex.projrat import INF, UNDEFINED
 
 F = Fraction
@@ -248,6 +248,34 @@ def test_assign_zero_multivariable_common_factor():
 def test_assign_zero_missing_variable():
     with pytest.raises(VariableNotPresent):
         assign_zero(form("x1+x2"), 9)
+
+
+def test_assign_zero_lands_in_the_family():
+    # every stored form on {1..k}, k <= 4, and every class rep at k = 5:
+    # each zero assignment is zero, infinity, a stored form or the negation
+    # of one, or the non-AE -x_j over 1
+    family = generate(5)
+    forms = [
+        f
+        for varset, aeset in family.sets.items()
+        if varset == frozenset(range(1, len(varset) + 1)) and len(varset) <= 4
+        for f in aeset.entries
+    ]
+    reps = [cls.rep for cls in compute_orbits(family.full_set(5), 5).classes]
+    assert (len(forms), len(reps)) == (1 + 6 + 68 + 1170, 500)
+    kinds = dict.fromkeys(("zero", "infinity", "form", "non_ae"), 0)
+    for f in forms + reps:
+        for i in sorted(f.varset):
+            res = assign_zero(f, i)
+            kinds[res.kind] += 1
+            if res.kind == "form":
+                stored = family.sets[res.form.varset].entries
+                assert res.form in stored or negate(res.form) in stored, (f, i)
+            elif res.kind == "non_ae":
+                (j,) = res.num.variables()
+                assert (res.num, res.den) == (-MultiPoly.variable(j), ONE), (f, i)
+    assert sum(kinds.values()) == 4897 + 5 * 500
+    assert all(kinds.values()), kinds
 
 
 def test_eval_form_puzzle_value():

@@ -500,6 +500,16 @@ def test_classify_against():
     assert "isomorphic to --against: yes" in out
 
 
+def test_classify_against_another_size():
+    argv = ("classify", "--expr", "x1/(x2-x3)+x4", "--against", "x1/(x2-x3)")
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert "isomorphic to --against: no" in out
+    code, out = run_cli(*argv, "--json")
+    assert code == 0
+    assert json.loads(out)["isomorphic_to_against"] is False
+
+
 def test_classify_relabels_gaps():
     code, out = run_cli("classify", "--expr", "x3+x2*x7", "--json")
     assert code == 0

@@ -11,7 +11,6 @@ from arithex.mpoly import (
     MultiPoly,
     PolyTable,
     ZeroPolynomial,
-    disjoint_factors,
 )
 from arithex.oracle import generate
 
@@ -210,59 +209,3 @@ def test_monomial_text_shared_between_polynomials():
     for other in (P(((14, 27), -1)), P(((14, 27), 5), ((), 2)), P(((14, 27), -3), ((29,), 1))):
         assert other.text() == reference_text(other)
     assert P(((14, 27), -3), ((29,), 1)).text() == "-3*x14*x27 + x29"
-
-
-def test_disjoint_factors_simple():
-    # x1*x4 + x2*x4 = (x1 + x2) * x4
-    sign, content, factors = disjoint_factors(P(((1, 4), 1), ((2, 4), 1)))
-    assert sign == 1 and content == 1
-    assert factors == [V(1) + V(2), V(4)]
-
-
-def test_disjoint_factors_sign_and_content():
-    p = P(((1, 2), -2), ((1, 3), -2))  # -2 * x1 * (x2 + x3)
-    sign, content, factors = disjoint_factors(p)
-    assert sign == -1 and content == 2
-    assert factors == [V(1), V(2) + V(3)]
-
-
-def test_disjoint_factors_irreducible():
-    p = V(1) + V(2)
-    assert disjoint_factors(p) == (1, 1, [p])
-    q = P(((1, 2), 1), ((1,), 1), ((2,), 1))  # x1*x2 + x1 + x2: no split
-    assert disjoint_factors(q) == (1, 1, [q])
-
-
-def test_disjoint_factors_with_constant_term():
-    p = P(((1, 2), 1), ((2,), 1))  # (x1 + 1) * x2
-    sign, content, factors = disjoint_factors(p)
-    assert sign == 1 and content == 1
-    assert factors == [V(1) + ONE, V(2)]
-
-
-@given(
-    st.lists(
-        st.dictionaries(monomials, st.integers(-4, 4).filter(bool), min_size=1, max_size=4),
-        min_size=1,
-        max_size=3,
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_disjoint_factors_recovers_products(dicts):
-    # Build a product of polynomials forced onto disjoint variable blocks,
-    # then check the factorization multiplies back to the original.
-    polys = []
-    for blk, d in enumerate(dicts):
-        shifted = {tuple(v + 10 * blk for v in m): c for m, c in d.items()}
-        polys.append(MultiPoly.from_dict(shifted))
-    product = ONE
-    for q in polys:
-        product = product.mul_disjoint(q)
-    if not product:
-        return
-    sign, content, factors = disjoint_factors(product)
-    rebuilt = C(sign * content)
-    for f in factors:
-        rebuilt = rebuilt.mul_disjoint(f)
-        assert f.is_monic() and f.content() == 1
-    assert rebuilt == product
