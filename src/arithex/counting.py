@@ -200,7 +200,7 @@ def class_counts(n_max: int) -> CategoryTable:
     for n in range(2, n_max + 1):
         for op, type_ in _CELL_ORDER:
             table.cells[n][op][type_] = sum(
-                t.value for t in _cell_terms(table, n, op, type_)
+                value for *_, value in _cell_terms(table, n, op, type_)
             )
         _close_level(table, n)
     return table
@@ -223,7 +223,7 @@ def worked_breakdown(table: CategoryTable, n: int, op: str, type_: int) -> Break
             f"breakdowns list up to p(n) partitions; cell n={n} is above "
             f"{BREAKDOWN_MAX_N}"
         )
-    terms = tuple(_cell_terms(table, n, op, type_, by_partition=True))
+    terms = tuple(Term(*t) for t in _cell_terms(table, n, op, type_, by_partition=True))
     total = sum(t.value for t in terms)
     if total != table.cell(n, op, type_):
         raise RuntimeError(
@@ -261,6 +261,8 @@ def _close_level(table: CategoryTable, k: int) -> None:
 def _cell_terms(
     table: CategoryTable, n: int, op: str, type_: int, by_partition: bool = False
 ) -> list:
+    """The summands of one cell as (kind, key, factors, value) tuples, the
+    fields of a ``Term``; only a breakdown makes them Terms."""
     pool, series = table.pools, table.series
 
     def partition_terms(name, total, nontrivial=False):
@@ -281,10 +283,10 @@ def _cell_terms(
     def several(name):
         if by_partition:
             return [
-                Term("partition", partition, factors, value)
+                ("partition", partition, factors, value)
                 for partition, factors, value in partition_terms(name, n, True)
             ]
-        return [Term("series", name, (), nontrivial(name))]
+        return [("series", name, (), nontrivial(name))]
 
     first_pt = pool["first_pt"]
 
@@ -296,12 +298,12 @@ def _cell_terms(
             for k in range(1, n // 2 + 1):
                 a = weighings("monic_md", k)
                 b = weighings("third_md", n - 2 * k)
-                terms.append(Term("convolution", k, (a, b), a * b))
+                terms.append(("convolution", k, (a, b), a * b))
             return terms
         every = nontrivial("any_md")
         f = table.cell(n, "+", 1)
         c = table.cell(n, "+", 3)
-        return [Term("difference", None, (every, f, c), every - f - c)]
+        return [("difference", None, (every, f, c), every - f - c)]
 
     if op == "-":
         if type_ == 1:
@@ -311,32 +313,32 @@ def _cell_terms(
             for k in range(1, n // 2 + 1):
                 a = pool["third_ptd"][n - 2 * k]
                 b = pool["first_ptd"][k]
-                terms.append(Term("convolution", k, (a, b), a * b))
+                terms.append(("convolution", k, (a, b), a * b))
             return terms
         every = sum(pool["any_ptd"][k] * pool["first_ptd"][n - k] for k in range(1, n))
         c = table.cell(n, "-", 3)
-        return [Term("difference", None, (every, c), every - c)]
+        return [("difference", None, (every, c), every - c)]
 
     if op == "*":
         if type_ == 1:
             terms = several("first_p")
             for k in range(n):
                 w = weighings("first_p", k)
-                terms.append(Term("omega", k, (w,), w))
+                terms.append(("omega", k, (w,), w))
             return terms
         if type_ == 2:
             w = nontrivial("monic_pm")
-            terms = [Term("scaled", None, (2, w), 2 * w)]
+            terms = [("scaled", None, (2, w), 2 * w)]
             for k in range(1, n):
                 a = 2 * weighings("monic_pm", k)
                 b = first_pt[n - k]
-                terms.append(Term("convolution", k, (a, b), a * b))
+                terms.append(("convolution", k, (a, b), a * b))
             return terms
         terms = several("third_pm")
         for k in range(1, n):
             a = weighings("third_pm", k)
             b = first_pt[n - k] + pool["monic_pmt"][n - k]
-            terms.append(Term("convolution", k, (a, b), a * b))
+            terms.append(("convolution", k, (a, b), a * b))
         return terms
 
     if op == "/":
@@ -351,7 +353,7 @@ def _cell_terms(
             else:
                 a = pool["third_pmt"][n - k]
                 b = 2 * first_pt[k] + pool["second_pmt"][k] + pool["third_pmt"][k]
-            terms.append(Term("convolution", k, (a, b), a * b))
+            terms.append(("convolution", k, (a, b), a * b))
         return terms
 
     raise ValueError(f"unknown cell ({op!r}, {type_!r})")

@@ -9,24 +9,45 @@ computed once, each stored polynomial is negated at most once, and the
 stored forms share one copy of each distinct polynomial.  The table,
 negations included, is dropped when the build returns.  The build also
 classifies by ending operator, firing the ending rules as it records each
-result.  On top of the generated universe it computes isomorphism orbits
-and types, and cross-checks everything against the recurrence engine and
-the published reference values.
+result, and finds every isomorphism class, as below.  On top of the
+generated universe it keys the classes, types them, and cross-checks
+everything against the recurrence engine and the published reference
+values.
 
 A build makes no reference cycles, so reference counting alone frees it;
 the CLI relies on that and runs every command with the cyclic garbage
 collector off.
 
-An isomorphism class is the set of relabelings of any one member, so the
-classes of a full variable set are read off ``canon.orbit``.  One step
-writes a class: it takes one orbit, requires every member to be stored
-(the generated set is closed under relabeling), and sets one shared
-``OrbitClass`` on every member's entry, keyed by the least serialization
-over the stored members, whose shared polynomials are serialized once.
-``compute_orbits`` writes every class of a level with one
-``canon.Relabelings`` object (each monomial relabeled once per
-permutation, each twin-cell transversal listed once) and types the level;
-``Family.class_key`` writes one class on demand.  The readers of a level
+Two forms are isomorphic when a relabeling of the variables maps one onto
+the other (on sets of one size, not necessarily the same set).  The build
+gives every entry its class, ``AEntry.cls``, one ``OrbitClass`` shared by
+exactly the isomorphic entries of one size.  Every record f = L op R that
+the build makes joins f's class to the triple (op, class of L, class of
+R); the pair is unordered for + and *, which are commutative and whose
+bipartitions the build visits once, and ordered for - and /, the swapped
+records included.  The atoms share one class.  A union-find per size
+merges the triples that reach one form, and its nodes are resolved to
+classes when the size is complete, so operands always carry their final
+class.  This is exact:
+
+* Forms that share a triple are isomorphic.  L op R and L' op R' with
+  L ~ L' and R ~ R' put each operand on a complementary variable set, so
+  the two relabelings join into one that maps L op R onto L' op R' (and
+  R op L onto it for + and *).
+* Isomorphic forms share a triple.  A relabeling s with s(f) = g maps any
+  record L op R of f to s(L) op s(R), a record of g with operands of the
+  same classes; the build makes that record, since it combines every pair
+  of stored forms on complementary sets and every set is closed under
+  relabeling.
+
+By induction on the size, a shared class is then exactly an isomorphism
+class.  The build leaves each class unkeyed.  Keying a class takes its
+members alone: the key is their least serialization (stored forms, whose
+shared polynomials are serialized once) and the size their count.
+``compute_orbits`` groups a level by class, keys every class and types
+the level; ``Family.class_key`` groups a set once, on first use, and keys
+one class on its first hit.  Nothing is relabeled: ``canon.orbit`` and
+``canon.orbit_key`` serve listings and tests.  The readers of a level
 take the ``Orbits`` of ``compute_orbits`` and read each class record.
 """
 
@@ -78,16 +99,17 @@ class ClassificationAmbiguous(RuntimeError):
 
 class AEntry:
     """A generated expression: canonical form plus the first way it arose.
-    While its set is built, endop holds the ending rules fired so far."""
+    While its set is built, endop holds the ending rules fired so far, and
+    until its size is complete, cls holds a node of that size's union-find."""
 
     __slots__ = ("form", "decomp", "endop", "typeclass", "cls", "_witness")
 
-    def __init__(self, form: CanonForm, decomp=None, endop: Optional[str] = None):
+    def __init__(self, form: CanonForm, decomp, endop: Optional[str], cls):
         self.form = form
         self.decomp: Optional[tuple] = decomp  # (op, left form, right form); None: atom
         self.endop = endop
         self.typeclass: Optional[int] = None
-        self.cls: Optional[OrbitClass] = None  # shared by the class's entries
+        self.cls = cls  # its OrbitClass, shared by exactly the isomorphic entries of a size
         self._witness = None
 
 
@@ -110,7 +132,7 @@ class Family:
         self.ops = ops
         self.sets: dict = {}  # frozenset -> AESet
         self._programs: dict = {}  # k -> solver witness program over {1..k}
-        self._relabels: dict = {}  # k -> canon.Relabelings(k)
+        self._members: dict = {}  # varset -> its entries by id of their class
 
     def full_set(self, k: Optional[int] = None) -> AESet:
         k = self.n if k is None else k
@@ -131,15 +153,15 @@ class Family:
         return entry._witness
 
     def class_key(self, form: CanonForm) -> str:
-        """Orbit key of a form on a contiguous {1..k}.  The first call for a
-        class records it on every stored member, so a class is keyed once."""
+        """Key of a stored form's class: the least serialization of its
+        members, on {1..k} the orbit key.  The first call for a class
+        records it on every stored member, so a class is keyed once."""
         entry = self.entry_of(form)
-        if entry.cls is None:
-            k = len(form.varset)
-            relabels = self._relabels.get(k)
-            if relabels is None:
-                relabels = self._relabels[k] = canon.Relabelings(k)
-            _record_class(self.sets[form.varset].entries, form, relabels)
+        if entry.cls.key is None:
+            members = self._members.get(form.varset)
+            if members is None:
+                members = self._members[form.varset] = _members(self.sets[form.varset].entries)
+            _record_class(members[id(entry.cls)])
         return entry.cls.key
 
 
@@ -156,6 +178,11 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     (left side, right side), by ``canon.combine_pair``.  The reversed
     results of - and /, the negation and the reciprocal of the ones just
     combined, come from ``canon.swap_operands``.
+
+    Each (op, left, right) joins its result's class to the triple of op and
+    the operands' classes, final since their sizes are complete (module
+    docstring); when a size is complete, each class of it becomes one
+    unkeyed ``OrbitClass``, set on its entries.
 
     If ``check_classifiable`` passes the ops, each (op, left, right) fires
     the rule of op when both operands' ending operators, final since their
@@ -178,16 +205,21 @@ def generate(n: int, ops: str = "+-*/") -> Family:
              for a in ends for b in ends}
     negation = table.negation
     first_type: dict = {}  # operand subset -> its forms whose negation it lacks
+    atoms = OrbitClass()  # the class of every atom
     for size in range(1, n + 1):
+        joins: dict = {}  # (op, id of left class, id of right class) -> a node of parent
+        parent: list = []  # this size's union-find: node -> parent node
+        level: list = []  # the entries of this size's sets
         for subset in combinations(range(1, n + 1), size):
             fs = frozenset(subset)
             entries: dict = {}
             family.sets[fs] = AESet(subset, entries)
             if size == 1:
                 a = canon.atom(subset[0], table)
-                entries[a] = AEntry(a, None, "*" if classify else None)
+                entries[a] = AEntry(a, None, "*" if classify else None, atoms)
                 first_type[fs] = {a}
                 continue
+            level.append(entries)
             first, rest = subset[0], subset[1:]
             for mask in range(2 ** len(rest) - 1):
                 left = frozenset(
@@ -198,7 +230,9 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 right_entries = family.sets[right].entries
                 left_first, right_first = first_type.get(left), first_type.get(right)
                 for e1, entry1 in left_entries.items():
+                    c1 = id(entry1.cls)
                     for e2, entry2 in right_entries.items():
+                        c2 = id(entry2.cls)
                         fired = swapped = fires[entry1.endop, entry2.endop]
                         if "-" in fired:
                             if e2 not in right_first:
@@ -206,27 +240,61 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                             if e1 not in left_first:
                                 swapped = swapped.replace("-", "")
                         for op, res in combine_pair(e1, e2, ops_t, fs, table):
-                            _record(entries, res, op, e1, e2, op in fired)
                             if op in "-/":
+                                _record(entries, res, op, e1, e2, op in fired,
+                                        (op, c1, c2), joins, parent)
                                 res = swap_operands(op, res, table)
-                                _record(entries, res, op, e2, e1, op in swapped)
+                                _record(entries, res, op, e2, e1, op in swapped,
+                                        (op, c2, c1), joins, parent)
+                            else:
+                                _record(entries, res, op, e1, e2, op in fired,
+                                        (op, c1, c2) if c1 <= c2 else (op, c2, c1),
+                                        joins, parent)
             if classify:
                 classify_endops(entries)
             if "-" in rules and size < n:
                 first_type[fs] = {
                     f for f in entries if CanonForm(negation(f.num), f.den, fs) not in entries
                 }
+        # each root of this size's union-find becomes one class
+        roots = [_find(parent, node) for node in range(len(parent))]
+        classes = {root: OrbitClass() for root in set(roots)}
+        final = [classes[root] for root in roots]
+        for entries in level:
+            for entry in entries.values():
+                entry.cls = final[entry.cls]
     return family
 
 
-def _record(entries: dict, form: CanonForm, op: str, left, right, fires: bool) -> None:
+def _record(entries: dict, form: CanonForm, op: str, left, right, fires: bool,
+            triple: tuple, joins: dict, parent: list) -> None:
     """Store form = left op right, with that as its witness if it is new;
-    if the rule of op fires, add op to the rules fired so far."""
+    if the rule of op fires, add op to the rules fired so far.  Join the
+    form's class node to the node of triple, its op and operand classes."""
     entry = entries.get(form)
+    node = joins.get(triple)
     if entry is None:
-        entries[form] = AEntry(form, (op, left, right), op if fires else None)
-    elif fires and op not in (entry.endop or ""):
+        if node is None:
+            node = joins[triple] = len(parent)
+            parent.append(node)
+        entries[form] = AEntry(form, (op, left, right), op if fires else None, node)
+        return
+    if fires and op not in (entry.endop or ""):
         entry.endop = (entry.endop or "") + op
+    if node is None:
+        joins[triple] = entry.cls
+    elif parent[node] != parent[entry.cls]:  # equal parents: one set already
+        a, b = _find(parent, node), _find(parent, entry.cls)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+        entry.cls = min(a, b)
+
+
+def _find(parent: list, node: int) -> int:
+    """The root of node in a union-find, halving the path on the way."""
+    while parent[node] != node:
+        parent[node] = node = parent[parent[node]]
+    return node
 
 
 def _ops_tuple(ops: str) -> tuple:
@@ -242,9 +310,12 @@ def _ops_tuple(ops: str) -> tuple:
 
 @dataclass
 class OrbitClass:
-    key: str          # least serialization over the class = the orbit key
-    rep: CanonForm    # form realizing the key
-    size: int         # identity-distinct members
+    """An isomorphism class of one size of a build, shared by its entries.
+    The build makes it unkeyed; keying the class fills every field."""
+
+    key: Optional[str] = None        # least serialization over the class = the orbit key
+    rep: Optional[CanonForm] = None  # form realizing the key
+    size: int = 0                    # identity-distinct members
 
 
 class Orbits:
@@ -263,37 +334,30 @@ class Orbits:
         return self.entries[form].cls.rep
 
 
-def _record_class(entries: dict, form: CanonForm, relabels: canon.Relabelings) -> OrbitClass:
-    """Write the class of form, a form on {1..n} of a generated set, with
-    relabels = canon.Relabelings(n): one OrbitClass, set on every member.
+def _members(entries: dict) -> dict:
+    """The entries of a set by class: id of the class -> its entries."""
+    members: dict = {}
+    for entry in entries.values():
+        members.setdefault(id(entry.cls), []).append(entry)
+    return members
 
-    A generated set is closed under relabeling, so a member that is not
-    stored is a hard failure.
-    """
-    try:
-        members = [entries[g] for g in canon.orbit(form, relabels)]
-    except KeyError:
-        raise RuntimeError(f"generated set not closed under relabeling of {form!r}") from None
+
+def _record_class(members: list) -> OrbitClass:
+    """Key the class its member entries share: its least serialization."""
     # stored instances, whose shared polynomials cache their text
     rep = min((m.form for m in members), key=canon.form_str)
-    cls = OrbitClass(key=canon.form_str(rep), rep=rep, size=len(members))
-    for m in members:
-        m.cls = cls
+    cls = members[0].cls
+    cls.key, cls.rep, cls.size = canon.form_str(rep), rep, len(members)
     return cls
 
 
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
-    """Isomorphism classes of a generated set on the contiguous {1..n}, each
-    written afresh on its entries (so closure is checked on every call);
-    the entries come out typed."""
-    entries = aeset.entries
-    relabels = canon.Relabelings(n)
-    for entry in entries.values():
-        entry.cls = None
-    classes = [_record_class(entries, f, relabels) for f, e in entries.items() if e.cls is None]
+    """Isomorphism classes of a generated set on {1..n}, each keyed
+    afresh; the entries come out typed."""
+    classes = [_record_class(group) for group in _members(aeset.entries).values()]
     classes.sort(key=lambda c: c.key)
     classify_types(aeset)
-    return Orbits(classes, entries)
+    return Orbits(classes, aeset.entries)
 
 
 # -- classification -----------------------------------------------------------

@@ -35,12 +35,15 @@ The first solve with n numbers compiles the witness trees of the forms on
 groups in about 0.5 MB at n = 5, 181 858 steps and 2 306 groups in about
 15 MB at n = 6.
 The first hit of a class records the class on every stored member, as
-``oracle.compute_orbits`` does (``Family.class_key``); recording all 500
-classes at n = 5 adds about 0.85 MB, mostly cached polynomial text.  A
-puzzle then runs one loop over plain ints and one lookup per group, and
-keeps only the set of class keys it has seen.  The first puzzles on a
-family pay for this state, and keying their classes is most of their
-cost.
+``oracle.compute_orbits`` does (``Family.class_key``): the build has
+already grouped the members, so this takes their least text and
+relabels nothing.  Recording all 500 classes at n = 5 adds about 0.8 MB,
+the level grouped by class and cached polynomial text.  A puzzle then
+runs one loop over plain ints and one lookup per group, and keeps only
+the set of class keys it has seen.  The first puzzles on a family pay for
+this state: on a fresh n = 5 family with the program compiled, the
+projective puzzle 0, 1, 3, 10, 8 -> inf (251 classes) took 20-32 ms in
+process, 12-19 ms of it keying its classes (2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations

@@ -266,3 +266,22 @@ ALL_SUITES = (
     ("class-operation-compatibility", suite_class_operation_compatibility),
     ("type2-negation-pairing", suite_type2_pairing),
 )
+
+
+def check_classes_are_orbits(aeset, k):
+    """Every class compute_orbits finds in a generated set on {1..k} is the
+    orbit of its rep: its entries are exactly the relabelings of the rep,
+    every one stored, and its key and size are the orbit's.  Returns the
+    number of classes checked."""
+    orbits = oracle.compute_orbits(aeset, k)
+    members = {}
+    for form, entry in aeset.entries.items():
+        members.setdefault(id(entry.cls), set()).add(form)
+    relabels = canon.Relabelings(k)
+    for cls in orbits.classes:
+        orbit = canon.orbit(cls.rep, relabels)
+        assert members[id(cls)] == orbit, cls.key
+        assert cls.size == len(orbit)
+        assert cls.key == min(canon.form_str(g) for g in orbit)
+    assert sum(len(m) for m in members.values()) == len(aeset.entries)
+    return len(orbits)

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 The deep halves of criteria 4 and 5 (the six-variable exhaustive count,
-its forms' unit coefficients and its classes) share one n = 6 build, take
-minutes and run only when ARITHEX_DEEP=1 is set in the environment.
+its forms' unit coefficients and its classes, against the engine and
+against the orbits) share one n = 6 build, take minutes and run only when
+ARITHEX_DEEP=1 is set in the environment.
 """
 
 import io
@@ -173,6 +174,15 @@ def test_criterion_05_deep_oracle_vs_engine_n6(family6_data):
             assert cells[op][t] == engine.cell(6, op, t), (op, t)
     elapsed = time.monotonic() - start
     _report(5, "deep oracle vs engine n=6", f"{elapsed:.1f}s")
+
+
+@deep
+def test_criterion_05_deep_classes_are_orbits_n6(family6_data):
+    family, _ = family6_data
+    start = time.monotonic()
+    assert prop_suites.check_classes_are_orbits(family.full_set(6), 6) == 2844
+    elapsed = time.monotonic() - start
+    _report(5, "deep classes are orbits n=6", f"{elapsed:.1f}s")
 
 
 def test_criterion_06_listings(family5_data):

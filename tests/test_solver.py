@@ -224,7 +224,7 @@ def test_cached_class_keys_are_orbit_keys():
         (form, entry.cls.key)
         for aeset in family.sets.values()
         for form, entry in aeset.entries.items()
-        if entry.cls is not None
+        if entry.cls.key is not None
     ]
     assert {s.class_key for s in sols} <= {key for _, key in keyed}
     for form, key in keyed:
@@ -249,10 +249,10 @@ def test_solved_family_shares_class_records(monkeypatch):
     for sol in sols:
         assert family.entry_of(to_canon(sol.witness)).cls.key == sol.class_key
 
-    def no_orbit(*args):
+    def no_record(*args):
         raise AssertionError("class keyed again")
 
-    monkeypatch.setattr(canon, "orbit", no_orbit)
+    monkeypatch.setattr(oracle, "_record_class", no_record)
     for form, entry in family.full_set(4).entries.items():
         assert family.class_key(form) == entry.cls.key
 
