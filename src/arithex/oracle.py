@@ -41,9 +41,11 @@ class.  This is exact:
   relabeling.
 
 By induction on the size, a shared class is then exactly an isomorphism
-class.  The build leaves each class unkeyed.  Keying a class takes its
+class.  The build leaves each class unkeyed and records its size, the
+number of its members in each set of its size.  Keying a class takes its
 members alone: the key is their least serialization (stored forms, whose
-shared polynomials are serialized once) and the size their count.
+shared polynomials are serialized once), and a set holding fewer members
+than the size is not closed under relabeling and raises.
 ``compute_orbits`` groups a level by class, keys every class and types
 the level; ``Family.class_key`` groups a set once, on first use, and keys
 one class on its first hit.  Nothing is relabeled: ``canon.orbit`` and
@@ -205,7 +207,7 @@ def generate(n: int, ops: str = "+-*/") -> Family:
              for a in ends for b in ends}
     negation = table.negation
     first_type: dict = {}  # operand subset -> its forms whose negation it lacks
-    atoms = OrbitClass()  # the class of every atom
+    atoms = OrbitClass(size=1)  # the class of every atom
     for size in range(1, n + 1):
         joins: dict = {}  # (op, id of left class, id of right class) -> a node of parent
         parent: list = []  # this size's union-find: node -> parent node
@@ -256,13 +258,18 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 first_type[fs] = {
                     f for f in entries if CanonForm(negation(f.num), f.den, fs) not in entries
                 }
-        # each root of this size's union-find becomes one class
+        # each root of this size's union-find becomes one class; relabeling
+        # maps the sets of a size onto each other, so each holds a class's
+        # members in equal number
         roots = [_find(parent, node) for node in range(len(parent))]
         classes = {root: OrbitClass() for root in set(roots)}
         final = [classes[root] for root in roots]
         for entries in level:
             for entry in entries.values():
-                entry.cls = final[entry.cls]
+                entry.cls = cls = final[entry.cls]
+                cls.size += 1
+        for cls in classes.values():
+            cls.size //= len(level)
     return family
 
 
@@ -311,11 +318,11 @@ def _ops_tuple(ops: str) -> tuple:
 @dataclass
 class OrbitClass:
     """An isomorphism class of one size of a build, shared by its entries.
-    The build makes it unkeyed; keying the class fills every field."""
+    The build sets its size and leaves it unkeyed; keying fills key and rep."""
 
     key: Optional[str] = None        # least serialization over the class = the orbit key
     rep: Optional[CanonForm] = None  # form realizing the key
-    size: int = 0                    # identity-distinct members
+    size: int = 0                    # identity-distinct members in each set of its size
 
 
 class Orbits:
@@ -343,11 +350,17 @@ def _members(entries: dict) -> dict:
 
 
 def _record_class(members: list) -> OrbitClass:
-    """Key the class its member entries share: its least serialization."""
+    """Key the class its member entries share: its least serialization.
+    A set that lacks some of the members the build counted is not closed
+    under relabeling, and raises."""
+    cls = members[0].cls
+    if len(members) != cls.size:
+        raise RuntimeError(
+            f"set not closed under relabeling: {len(members)} of the "
+            f"{cls.size} members of a class are stored")
     # stored instances, whose shared polynomials cache their text
     rep = min((m.form for m in members), key=canon.form_str)
-    cls = members[0].cls
-    cls.key, cls.rep, cls.size = canon.form_str(rep), rep, len(members)
+    cls.key, cls.rep = canon.form_str(rep), rep
     return cls
 
 

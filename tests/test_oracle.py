@@ -11,6 +11,7 @@ from arithex import canon, oracle, reference, solver
 from arithex.exprtree import parse, pretty, to_canon
 from arithex.mpoly import PolyTable
 from arithex.oracle import (
+    AESet,
     LimitExceeded,
     OrbitClass,
     _check_class_operations,
@@ -382,6 +383,41 @@ def test_classes_are_orbits(ops, n, request):
     counts = [prop_suites.check_classes_are_orbits(fam.full_set(k), k) for k in range(1, n + 1)]
     if ops == "+-*/":
         assert counts == [1, 4, 18, 93, 500]
+
+
+def test_compute_orbits_requires_closure_of_twin_classes():
+    # (x1+x2)*(x3+x4) has twin cells {1,2}, {3,4}; dropping the last stored
+    # of its three members leaves its class short of the size the build counted
+    aeset = generate(4).full_set(4)
+    f = form("(x1+x2)*(x3+x4)")
+    members = canon.orbit(f)
+    assert len(members) == 3
+    dropped = [g for g in aeset.entries if g in members][-1]
+    entries = {g: e for g, e in aeset.entries.items() if g != dropped}
+    with pytest.raises(RuntimeError, match="not closed under relabeling"):
+        compute_orbits(AESet(aeset.subset, entries), 4)
+
+
+def test_compute_orbits_requires_closure(family4):
+    aeset = family4.full_set(3)
+    reps = {c.rep for c in compute_orbits(aeset, 3).classes}
+    dropped = next(f for f in aeset.entries if f not in reps)
+    entries = {f: e for f, e in aeset.entries.items() if f != dropped}
+    with pytest.raises(RuntimeError, match="not closed under relabeling"):
+        compute_orbits(AESet(aeset.subset, entries), 3)
+
+
+def test_class_key_requires_closure():
+    # Family.class_key checks closure as compute_orbits does; the reps come
+    # from a separate family, since compute_orbits keys the family it runs on
+    fam = generate(3)
+    aeset = fam.full_set(3)
+    reps = {c.rep for c in compute_orbits(generate(3).full_set(3), 3).classes}
+    dropped = next(f for f in aeset.entries if f not in reps)
+    rep = next(r for r in reps if dropped in canon.orbit(r))
+    del aeset.entries[dropped]
+    with pytest.raises(RuntimeError, match="not closed under relabeling"):
+        fam.class_key(rep)
 
 
 def test_invariance_check_detects_a_changed_member():
