@@ -25,6 +25,16 @@ multiset counts over the seven pools that feed ``+`` and ``*`` cells come
 from one ``EulerSeries`` per pool, extended once per level, so a table to
 n_max costs O(n_max^2) integer steps per pool and enumerates no partition.
 Only ``worked_breakdown`` lists partitions, for the one cell it traces.
+
+Each cell is described once, by ``_cell_terms``, as a few blocks
+``(kind, keys, factors, values)`` of summands.  A convolution block pairs
+k with n - k or n - 2k, so its factor columns are slices of the pool lists
+and of ``EulerSeries.weighings``, reversed (``[n-1:0:-1]``) or with step
+-2 (``[n-2::-2]``), and its values are their products, ``map(mul, a, b)``.
+The fill sums each block in C with ``sum`` and builds no tuple per
+summand; ``worked_breakdown`` expands the same blocks into ``Term`` rows,
+with every multiset count summed over partitions instead of read from a
+series, so it cross-checks the fill.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable
 
 from .errors import InputError
@@ -52,7 +63,7 @@ BREAKDOWN_MAX_N = 40
 
 # largest table a count may fill: the fill takes O(n^2) steps on integers
 # of O(n) digits, and on a 2-vCPU Xeon under Python 3.11 `count --max-n`
-# takes about 2.5 s and 26 MB peak RSS at n = 500, 18 s and 59 MB at
+# takes about 0.7 s and 26 MB peak RSS at n = 500, 7 s and 49 MB at
 # n = 1000; every level is allocated up front
 COUNT_MAX_N = 1000
 
@@ -122,7 +133,12 @@ class CategoryTable:
         if n == 0:
             return 1
         level = self.cells[n]
-        return sum(level[op][t] for op in ops for t in types)
+        total = 0
+        for op in ops:
+            cell = level[op]
+            for t in types:
+                total += cell[t]
+        return total
 
     def monic_second(self, ops: Iterable[str], n: int) -> int:
         """Monic second-type classes: half the second-type count."""
@@ -163,18 +179,17 @@ class CategoryTable:
     def to_text(self) -> str:
         lines = []
         for n in range(1, self.n_max + 1):
-            width = max(8, len(str(self.total(n))) + 2)
-            header = f"n={n}".ljust(8) + "".join(op.rjust(width) for op in OPS)
+            level = self.cells[n]
+            # one row per type and a total row, one column per op and a total
+            rows = [[level[op][t] for op in OPS] for t in (1, 2, 3)]
+            for row in rows:
+                row.append(sum(row))
+            rows.append([sum(column) for column in zip(*rows)])
+            width = max(8, len(str(rows[-1][-1])) + 2)
+            header = f"n={n}".ljust(8) + "".join([op.rjust(width) for op in OPS])
             lines.append(header + "total".rjust(width))
-            for t in (1, 2, 3):
-                row = TYPE_NAMES[t].ljust(8)
-                row += "".join(str(self.cells[n][op][t]).rjust(width) for op in OPS)
-                row += str(self.cls((t,), OPS, n)).rjust(width)
-                lines.append(row)
-            row = "total".ljust(8)
-            row += "".join(str(self.cls((1, 2, 3), (op,), n)).rjust(width) for op in OPS)
-            row += str(self.total(n)).rjust(width)
-            lines.append(row)
+            for label, row in zip((*TYPE_NAMES.values(), "total"), rows):
+                lines.append(label.ljust(8) + "".join([str(v).rjust(width) for v in row]))
             lines.append("")
         return "\n".join(lines)
 
@@ -198,10 +213,9 @@ def class_counts(n_max: int) -> CategoryTable:
     _close_level(table, 0)
     _close_level(table, 1)
     for n in range(2, n_max + 1):
+        level = table.cells[n]
         for op, type_ in _CELL_ORDER:
-            table.cells[n][op][type_] = sum(
-                value for *_, value in _cell_terms(table, n, op, type_)
-            )
+            level[op][type_] = sum([sum(values) for *_, values in _cell_terms(table, n, op, type_)])
         _close_level(table, n)
     return table
 
@@ -223,7 +237,11 @@ def worked_breakdown(table: CategoryTable, n: int, op: str, type_: int) -> Break
             f"breakdowns list up to p(n) partitions; cell n={n} is above "
             f"{BREAKDOWN_MAX_N}"
         )
-    terms = tuple(Term(*t) for t in _cell_terms(table, n, op, type_, by_partition=True))
+    terms = tuple(
+        Term(kind, key, factors, value)
+        for kind, keys, column, values in _cell_terms(table, n, op, type_, by_partition=True)
+        for key, factors, value in zip(keys, column, values, strict=True)
+    )
     total = sum(t.value for t in terms)
     if total != table.cell(n, op, type_):
         raise RuntimeError(
@@ -245,14 +263,22 @@ def _close_level(table: CategoryTable, k: int) -> None:
         series["monic_pm"].extend(monic("+-", k))
         series["first_p"].extend(cls((1,), "+", k))
         series["third_pm"].extend(cls((3,), "+-", k))
+    first_pt = cls((1,), "+*", k)
+    second_pmt = cls((2,), "+-*", k)
+    third_pmt = cls((3,), "+-*", k)
+    monic_pmt = monic("+-*", k)
     counts = {
-        "first_pt": cls((1,), "+*", k),
-        "second_pmt": cls((2,), "+-*", k),
-        "third_pmt": cls((3,), "+-*", k),
-        "monic_pmt": monic("+-*", k),
+        "first_pt": first_pt,
+        "second_pmt": second_pmt,
+        "third_pmt": third_pmt,
         "first_ptd": cls((1,), "+*/", k),
         "third_ptd": cls((3,), "+*/", k),
         "any_ptd": cls((1, 2, 3), "+*/", k),
+        # the partner pools of the third-type * cell and of the second-
+        # and third-type / cells, summed once per level
+        "times_third": first_pt + monic_pmt,
+        "div_second": 2 * first_pt + monic_pmt,
+        "div_third": 2 * first_pt + second_pmt + third_pmt,
     }
     for name, count in counts.items():
         table.pools.setdefault(name, []).append(count)
@@ -261,99 +287,93 @@ def _close_level(table: CategoryTable, k: int) -> None:
 def _cell_terms(
     table: CategoryTable, n: int, op: str, type_: int, by_partition: bool = False
 ) -> list:
-    """The summands of one cell as (kind, key, factors, value) tuples, the
-    fields of a ``Term``; only a breakdown makes them Terms."""
+    """The summands of one cell as a list of blocks (kind, keys, factors,
+    values): the block's i-th summand has key keys[i], factors factors[i]
+    (a tuple) and value values[i], the fields of a ``Term``.  A convolution
+    pairs k with n - k or n - 2k, so its factor columns are slices of the
+    pools and series, and its values their products.  A block may hold
+    iterators, so it is read once."""
     pool, series = table.pools, table.series
+    up, down = slice(1, n), slice(n - 1, 0, -1)  # k = 1..n-1 and n - k
+    # k = 1..n//2 and n - 2k; at n = 1 half is empty, and so is each pairing
+    half, rest = slice(1, n // 2 + 1), slice(n - 2, None, -2)
 
     def partition_terms(name, total, nontrivial=False):
         return weighing_terms(from_prefix(series[name].counts[1:]), total, nontrivial)
 
-    def weighings(name, k):
-        # multisets of pool classes totalling k
+    def weighings(name, index):
+        # multisets of pool classes totalling k, for k in range(n)[index]
         if by_partition:
-            return sum(value for _, _, value in partition_terms(name, k))
-        return series[name].weighings[k]
+            return [
+                sum(value for *_, value in partition_terms(name, k)) for k in range(n)[index]
+            ]
+        return series[name].weighings[index]
 
     def nontrivial(name):
         # multisets of two or more pool classes totalling n
         if by_partition:
-            return sum(value for _, _, value in partition_terms(name, n, True))
+            return sum(value for *_, value in partition_terms(name, n, True))
         return series[name].nontrivial(n)
 
     def several(name):
         if by_partition:
-            return [
-                ("partition", partition, factors, value)
-                for partition, factors, value in partition_terms(name, n, True)
-            ]
-        return [("series", name, (), nontrivial(name))]
+            rows = tuple(partition_terms(name, n, True))
+            keys, factors, values = zip(*rows) if rows else ((), (), ())
+            return "partition", keys, factors, values
+        return "series", (name,), ((),), (nontrivial(name),)
+
+    def convolution(keys, a, b):
+        return "convolution", keys, zip(a, b), map(mul, a, b)
+
+    def single(kind, factors, value):
+        return kind, (None,), (factors,), (value,)
 
     first_pt = pool["first_pt"]
 
     if op == "+":
         if type_ == 1:
-            return several("first_md")
+            return [several("first_md")]
         if type_ == 3:
-            terms = several("third_md")
-            for k in range(1, n // 2 + 1):
-                a = weighings("monic_md", k)
-                b = weighings("third_md", n - 2 * k)
-                terms.append(("convolution", k, (a, b), a * b))
-            return terms
+            return [
+                several("third_md"),
+                convolution(
+                    range(1, n // 2 + 1),
+                    weighings("monic_md", half),
+                    weighings("third_md", rest),
+                ),
+            ]
         every = nontrivial("any_md")
         f = table.cell(n, "+", 1)
         c = table.cell(n, "+", 3)
-        return [("difference", None, (every, f, c), every - f - c)]
+        return [single("difference", (every, f, c), every - f - c)]
 
     if op == "-":
         if type_ == 1:
             return []
         if type_ == 3:
-            terms = []
-            for k in range(1, n // 2 + 1):
-                a = pool["third_ptd"][n - 2 * k]
-                b = pool["first_ptd"][k]
-                terms.append(("convolution", k, (a, b), a * b))
-            return terms
-        every = sum(pool["any_ptd"][k] * pool["first_ptd"][n - k] for k in range(1, n))
+            return [convolution(range(1, n // 2 + 1), pool["third_ptd"][rest], pool["first_ptd"][half])]
+        every = sum(map(mul, pool["any_ptd"][up], pool["first_ptd"][down]))
         c = table.cell(n, "-", 3)
-        return [("difference", None, (every, c), every - c)]
+        return [single("difference", (every, c), every - c)]
 
     if op == "*":
         if type_ == 1:
-            terms = several("first_p")
-            for k in range(n):
-                w = weighings("first_p", k)
-                terms.append(("omega", k, (w,), w))
-            return terms
+            w = weighings("first_p", slice(n))
+            return [several("first_p"), ("omega", range(n), zip(w), w)]
         if type_ == 2:
             w = nontrivial("monic_pm")
-            terms = [("scaled", None, (2, w), 2 * w)]
-            for k in range(1, n):
-                a = 2 * weighings("monic_pm", k)
-                b = first_pt[n - k]
-                terms.append(("convolution", k, (a, b), a * b))
-            return terms
-        terms = several("third_pm")
-        for k in range(1, n):
-            a = weighings("third_pm", k)
-            b = first_pt[n - k] + pool["monic_pmt"][n - k]
-            terms.append(("convolution", k, (a, b), a * b))
-        return terms
+            doubled = [2 * b for b in weighings("monic_pm", up)]
+            return [single("scaled", (2, w), 2 * w), convolution(range(1, n), doubled, first_pt[down])]
+        return [
+            several("third_pm"),
+            convolution(range(1, n), weighings("third_pm", up), pool["times_third"][down]),
+        ]
 
     if op == "/":
-        terms = []
-        for k in range(1, n):
-            if type_ == 1:
-                a = first_pt[k]
-                b = first_pt[n - k]
-            elif type_ == 2:
-                a = pool["second_pmt"][n - k]
-                b = 2 * first_pt[k] + pool["monic_pmt"][k]
-            else:
-                a = pool["third_pmt"][n - k]
-                b = 2 * first_pt[k] + pool["second_pmt"][k] + pool["third_pmt"][k]
-            terms.append(("convolution", k, (a, b), a * b))
-        return terms
+        if type_ == 1:
+            return [convolution(range(1, n), first_pt[up], first_pt[down])]
+        if type_ == 2:
+            return [convolution(range(1, n), pool["second_pmt"][down], pool["div_second"][up])]
+        return [convolution(range(1, n), pool["third_pmt"][down], pool["div_third"][up])]
 
     raise ValueError(f"unknown cell ({op!r}, {type_!r})")

@@ -412,8 +412,16 @@ def classify_types(aeset: AESet) -> None:
     """Type every entry of a full set whose classes are recorded: 1 if the
     negation is not present, 3 if it lands in the same class, else 2."""
     entries = aeset.entries
+    # the entries share their numerators, so each distinct one is negated
+    # once: numerator -> the stored numerator equal to its negation, or
+    # None if no entry has one; one table, keyed by the stored numerators
+    negations = {form.num: form.num for form in entries}
+    stored = list(negations)
+    negations.update(zip(stored, [negations.get(-num) for num in stored]))
+    del stored
     for form, entry in entries.items():
-        neg = entries.get(canon.negate(form))
+        neg_num = negations[form.num]
+        neg = None if neg_num is None else entries.get(CanonForm(neg_num, form.den, form.varset))
         if neg is None:
             entry.typeclass = 1
         elif entry.cls is neg.cls:

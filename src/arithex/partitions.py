@@ -20,7 +20,9 @@ Sequences*, 1995):
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
+from operator import mul
 from typing import Callable, Sequence
 
 Partition = tuple  # tuple[tuple[int, int], ...]: ((size, multiplicity), ...)
@@ -90,6 +92,7 @@ class EulerSeries:
         self.counts = [0]       # counts[k] for k = 1..m; index 0 unused
         self.weighings = [1]    # b_0..b_m
         self._c = [0]           # c_1..c_m, the divisor sums
+        self._next = None       # nontrivial(m + 1), once asked
 
     def nontrivial(self, n: int) -> int:
         """Multisets of two or more weights totalling n: b_n minus the
@@ -99,21 +102,31 @@ class EulerSeries:
             raise ValueError(f"size {n} outside 1..{m + 1}")
         if n <= m:
             return self.weighings[n] - self.counts[n]
-        # c_n b_0 without the term n*counts(n), then c_k b_(n-k) for k < n
-        total = self._proper_divisor_sum(n)
-        total += sum(c * b for c, b in zip(self._c[1:], reversed(self.weighings[1:])))
-        return total // n
+        if self._next is None:
+            # c_n b_0 without the term n*counts(n), then c_k b_(n-k) for k < n
+            total = self._proper_divisor_sum(n)
+            total += sum(map(mul, self._c[1:], reversed(self.weighings)))
+            self._next = total // n
+        return self._next
 
     def extend(self, count: int) -> None:
         """Fix counts(n) = count for the next size n."""
         n = len(self.weighings)
         value = self.nontrivial(n) + count
+        self._next = None
         self._c.append(self._proper_divisor_sum(n) + n * count)
         self.counts.append(count)
         self.weighings.append(value)
 
     def _proper_divisor_sum(self, n: int) -> int:
-        return sum(d * self.counts[d] for d in range(1, n // 2 + 1) if n % d == 0)
+        divisors = _proper_divisors(n)
+        return sum(map(mul, divisors, map(self.counts.__getitem__, divisors)))
+
+
+@cache
+def _proper_divisors(n: int) -> tuple:
+    """The divisors of n below n, ascending; every series asks for each n."""
+    return tuple(d for d in range(1, n // 2 + 1) if n % d == 0)
 
 
 def count_weighings(counts: CountVector, total: int) -> int:

@@ -40,7 +40,9 @@ already grouped the members, so this takes their least text and
 relabels nothing.  Recording all 500 classes at n = 5 adds about 0.8 MB,
 the level grouped by class and cached polynomial text.  A puzzle then
 runs one loop over plain ints and one lookup per group, and keeps only
-the set of class keys it has seen.  The first puzzles on a family pay for
+the set of the classes it has seen, by id: unless all witnesses are
+wanted, a hit of a class seen before is skipped before any keying or
+lookup by form.  The first puzzles on a family pay for
 this state: on a fresh n = 5 family with the program compiled, the
 projective puzzle 0, 1, 3, 10, 8 -> inf (251 classes) took 20-32 ms in
 process, 12-19 ms of it keying its classes (2-vCPU Xeon, Python 3.11).
@@ -277,14 +279,14 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
     if program is None:
         program = family._programs[n] = _Program(family, n)
     assignment = {i + 1: query.numbers[i] for i in range(n)}
-    seen: set = set()  # class keys of the solutions so far
+    seen: set = set()  # ids of the classes of the solutions so far
     solutions: list = []
     for entry in program.hits(query.numbers, query.target):
         if query.max_solutions is not None and len(solutions) >= query.max_solutions:
             break
-        key = family.class_key(entry.form)
-        if key not in seen:
-            seen.add(key)
+        cls = entry.cls
+        if id(cls) not in seen:
+            seen.add(id(cls))
         elif not query.want_all:
             continue
         solutions.append(
@@ -292,7 +294,7 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
                 witness=family.witness(entry.form),
                 assignment=assignment,
                 value=query.target,
-                class_key=key,
+                class_key=cls.key if cls.key is not None else family.class_key(entry.form),
                 extension=False,
             )
         )

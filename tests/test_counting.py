@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -121,6 +122,23 @@ def test_partition_breakdowns_match_euler_fill():
         for op in OPS:
             for t in (1, 2, 3):
                 assert worked_breakdown(table, n, op, t).total == table.cell(n, op, t)
+
+
+def test_series_blocks_sum_to_cells_past_the_references():
+    # the reference values stop at n = 17 and the partition cross-check at
+    # n = 25; every summand the fill's blocks hold adds up to its cell
+    table = class_counts(60)
+    for n in range(1, 61):
+        for op in OPS:
+            for t in (1, 2, 3):
+                total = 0
+                for _, keys, factors, values in counting._cell_terms(table, n, op, t):
+                    for _, _, value in zip(keys, factors, values, strict=True):
+                        total += value
+                assert total == table.cell(n, op, t), (n, op, t)
+    # the totals to n = 200, pinned by the digest of their line
+    digest = hashlib.sha256(class_counts(200).totals_line().encode()).hexdigest()
+    assert digest == "0bf8514ab322da083b42ec679c40d7a5776d99e5b3cd3c67fbdc8e6251c7ff6a"
 
 
 def test_breakdown_first_type_plus_at_two(table17):
