@@ -57,18 +57,15 @@ negates each polynomial once and keeps one copy of each polynomial.
 ``combine`` is its one-operator call, and ``_normalized`` only serves
 zero assignment, whose quotients are new.  A form hashes its
 polynomials' cached hashes, so hashing a form reads no term.
-``Relabelings(n)`` pairs each permutation of {1..n} with a table of
-monomial images, so the orbits of many forms of one size relabel each
-monomial once per permutation.
 
-Searches start from one variable partition, the signature cells, which no
-relabeling changes: ``is_isomorphic`` maps each cell of one form onto the
-same cell of the other, and ``_twin_cells`` tests swaps within a cell.
+An orbit walks all n! relabelings of {1..n}, each through ``apply_perm``;
+every caller in the package takes orbits of forms on at most 4 variables
+(``verify``'s listing check keys 3- or 4-variable classes).
 
-An orbit is walked once per twin-cell transversal.  Variables that a
-transposition automorphism swaps form twin cells; relabelings that differ
-only within cells give the same image, so ``orbit`` applies one per coset:
-the relabelings increasing on every cell, listed once per cell pattern.
+Signature cells, a variable partition that no relabeling changes, serve
+only ``is_isomorphic``: it maps each cell of one form onto the same cell
+of the other, and builds each bijection only after the one before it has
+failed.
 """
 
 from __future__ import annotations
@@ -266,76 +263,17 @@ def is_monic_form(f: CanonForm) -> bool:
 Permutation = Mapping[int, int]
 
 
-def all_perms(n: int) -> Iterator[dict]:
-    """Every permutation of {1..n} as a mapping dict."""
-    base = range(1, n + 1)
-    for image in itertools.permutations(base):
-        yield dict(zip(base, image))
-
-
-class Relabelings:
-    """Every permutation of {1..n}, each paired with its table of monomial
-    images, filled as monomials are relabeled; and, per partition of
-    {1..n} into cells, the transversal: the pairs whose permutation is
-    increasing on every cell, listed on first use.
-
-    Callers that relabel many forms of one size share one object, so each
-    monomial is relabeled once per permutation and each transversal is
-    listed once.
-    """
-
-    __slots__ = ("n", "pairs", "_swaps", "_transversals")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.pairs = [(perm, {}) for perm in all_perms(n)]
-        self._swaps: dict = {}  # (i, j) -> pair of the transposition of i and j
-        for pair in self.pairs:
-            moved = tuple(k for k, v in pair[0].items() if k != v)
-            if len(moved) == 2:
-                self._swaps[moved] = pair
-        self._transversals: dict = {}  # cells -> pairs increasing on each cell
-
-    def swap(self, i: int, j: int) -> tuple:
-        """The pair of the transposition of i < j."""
-        return self._swaps[i, j]
-
-    def transversal(self, cells: tuple) -> list:
-        """The pairs increasing on every cell, a cell an increasing tuple."""
-        pairs = self._transversals.get(cells)
-        if pairs is None:
-            steps = [(a, b) for cell in cells for a, b in zip(cell, cell[1:])]
-            pairs = self._transversals[cells] = [
-                (perm, images)
-                for perm, images in self.pairs
-                if all(perm[a] < perm[b] for a, b in steps)
-            ]
-        return pairs
-
-
-def _relabel(f: CanonForm, perm: Permutation, images: dict, varset: frozenset) -> CanonForm:
-    """f relabeled through perm, monomial images read from and added to
-    images; varset is the relabeled variable set."""
-    relabeled = []
-    for p in (f.num, f.den):
-        terms = []
-        for m, c in p.terms:
-            image = images.get(m)
-            if image is None:
-                image = images[m] = tuple(sorted([perm.get(v, v) for v in m]))
-            terms.append((image, c))
-        terms.sort()
-        relabeled.append(terms)
-    num_terms, den_terms = relabeled
+def apply_perm(perm: Permutation, f: CanonForm) -> CanonForm:
+    """Relabel variables through perm and renormalize the denominator sign."""
+    num_terms, den_terms = [
+        sorted((tuple(sorted([perm.get(v, v) for v in m])), c) for m, c in p.terms)
+        for p in (f.num, f.den)
+    ]
     if den_terms[0][1] < 0:
         num_terms = [(m, -c) for m, c in num_terms]
         den_terms = [(m, -c) for m, c in den_terms]
+    varset = frozenset(perm.get(v, v) for v in f.varset)
     return CanonForm(MultiPoly(num_terms), MultiPoly(den_terms), varset)
-
-
-def apply_perm(perm: Permutation, f: CanonForm) -> CanonForm:
-    """Relabel variables through perm and renormalize the denominator sign."""
-    return _relabel(f, perm, {}, frozenset(perm.get(v, v) for v in f.varset))
 
 
 def _require_contiguous(f: CanonForm) -> int:
@@ -382,60 +320,36 @@ def is_isomorphic(f: CanonForm, g: CanonForm) -> Optional[dict]:
     sigs = sorted(cells_f)
     if sigs != sorted(cells_g) or any(len(cells_f[sig]) != len(cells_g[sig]) for sig in sigs):
         return None
-    for images in itertools.product(*(itertools.permutations(cells_g[sig]) for sig in sigs)):
-        perm = {}
-        for sig, image in zip(sigs, images):
-            perm.update(zip(cells_f[sig], image))
+    for perm in _cell_bijections([(cells_f[sig], cells_g[sig]) for sig in sigs], {}):
         if apply_perm(perm, f) == g:
             return {k: v for k, v in perm.items() if k != v}
     return None
 
 
-def _twin_cells(f: CanonForm, relabels: Relabelings) -> tuple:
-    """The twin cells of f on {1..n}, increasing tuples in order of their
-    least variable: i and j share a cell iff swapping x_i and x_j fixes f.
-
-    Twins share a signature, so only pairs within a signature cell are
-    tested.  Twins form an equivalence, since (i k) = (i j)(j k)(i j), so
-    the least variable of a signature cell not yet in a twin cell is tested
-    against the rest once: m - 1 tests for a signature cell of m twins, at
-    most m(m-1)/2 for any m variables.
+def _cell_bijections(cells: list, perm: dict) -> Iterator[dict]:
+    """perm extended by each bijection that maps every source cell onto its
+    target cell, cells a list of (source, target) pairs, in the order of
+    ``itertools.product`` over the targets' permutations.  One dict is
+    updated in place and yielded: each bijection is built only when the
+    caller asks for it, and holds until the next one.
     """
-    varset = f.varset
-    cells = []
-    for untested in _signature_cells(f, relabels.n).values():
-        while untested:
-            i, *rest = untested
-            cell, untested = [i], []
-            for j in rest:
-                perm, images = relabels.swap(i, j)
-                if _relabel(f, perm, images, varset) == f:
-                    cell.append(j)
-                else:
-                    untested.append(j)
-            cells.append(tuple(cell))
-    cells.sort()
-    return tuple(cells)
+    if not cells:
+        yield perm
+        return
+    (source, target), rest = cells[0], cells[1:]
+    for image in itertools.permutations(target):
+        perm.update(zip(source, image))
+        yield from _cell_bijections(rest, perm)
 
 
-def orbit(f: CanonForm, relabels: Optional[Relabelings] = None) -> set:
-    """The isomorphism class of f: its distinct images under every
-    relabeling of {1..n}.
+def orbit(f: CanonForm) -> set:
+    """The isomorphism class of f: its distinct images under all n!
+    relabelings of {1..n}.
 
-    Two forms are isomorphic iff each lies in the other's orbit.  Only the
-    relabelings increasing on every twin cell of f are applied: the cells'
-    symmetric groups make a subgroup H of the automorphisms of f, and
-    every permutation is t∘h with h in H and t increasing on the cells, so
-    these images are the whole orbit.  relabels defaults to a fresh
-    Relabelings(n); callers that take many orbits of one size pass one
-    object to every call.
+    Two forms are isomorphic iff each lies in the other's orbit.
     """
-    n = _require_contiguous(f)
-    if relabels is None:
-        relabels = Relabelings(n)
-    varset = f.varset
-    transversal = relabels.transversal(_twin_cells(f, relabels))
-    return {_relabel(f, perm, images, varset) for perm, images in transversal}
+    base = range(1, _require_contiguous(f) + 1)
+    return {apply_perm(dict(zip(base, image)), f) for image in itertools.permutations(base)}
 
 
 def orbit_key(f: CanonForm) -> str:

@@ -48,8 +48,10 @@ shared polynomials are serialized once), and a set holding fewer members
 than the size is not closed under relabeling and raises.
 ``compute_orbits`` groups a level by class, keys every class and types
 the level; ``Family.class_key`` groups a set once, on first use, and keys
-one class on its first hit.  Nothing is relabeled: ``canon.orbit`` and
-``canon.orbit_key`` serve listings and tests.  The readers of a level
+one class on its first hit.  Nothing is relabeled: ``canon.orbit``, a
+plain walk over all k! relabelings, serves only ``verify``'s class
+listings at k <= 4 (through ``canon.orbit_key``) and the tests' orbit
+check, which shares no theory with the build.  The readers of a level
 take the ``Orbits`` of ``compute_orbits`` and read each class record.
 """
 

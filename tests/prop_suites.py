@@ -277,9 +277,8 @@ def check_classes_are_orbits(aeset, k):
     members = {}
     for form, entry in aeset.entries.items():
         members.setdefault(id(entry.cls), set()).add(form)
-    relabels = canon.Relabelings(k)
     for cls in orbits.classes:
-        orbit = canon.orbit(cls.rep, relabels)
+        orbit = canon.orbit(cls.rep)
         assert members[id(cls)] == orbit, cls.key
         assert cls.size == len(orbit)
         assert cls.key == min(canon.form_str(g) for g in orbit)

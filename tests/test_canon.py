@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,9 @@ import pytest
 from arithex.canon import (
     CanonForm,
     NonContiguousVariables,
-    Relabelings,
     OverlappingVariables,
     VariableNotPresent,
     _signature_cells,
-    all_perms,
     apply_perm,
     assign_zero,
     atom,
@@ -137,7 +136,8 @@ def test_isomorphic_worked_example():
     f = form("x1/(x2-x3)+x4")
     g = form("x2 - x4/(x3-x1)")
     found = is_isomorphic(f, g)
-    assert found is not None
+    # the first bijection of the signature cells that maps f onto g
+    assert found == {1: 4, 2: 1, 4: 2}
     assert apply_perm(found, f) == g
     # the inverse direction uses the cycle x1 -> x2 -> x4 -> x1
     assert apply_perm({1: 2, 2: 4, 4: 1}, g) == f
@@ -158,6 +158,19 @@ def test_not_isomorphic():
     assert is_isomorphic(form("x1+x2"), form("x1*x2")) is None
 
 
+def test_isomorphic_builds_one_bijection_at_a_time():
+    # all nine variables share one signature cell and the identity matches
+    # first; listing the 9! bijections up front took a 44 MB peak
+    f = form("x1*x2*x3*x4*x5*x6*x7*x8*x9")
+    tracemalloc.start()
+    try:
+        assert is_isomorphic(f, f) == {}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_isomorphic_requires_contiguous():
     with pytest.raises(NonContiguousVariables):
         is_isomorphic(form("x1+x3"), form("x1+x3"))
@@ -170,23 +183,18 @@ def test_orbit_key():
 
 
 @pytest.mark.parametrize(
-    "text, walked",
+    "text, size",
     [
-        # (1 3)(2 4) is an automorphism but no transposition is: 24 walked
-        ("(x1-x2)*(x3-x4)", 24),
-        # twin cells {1,2}, {3,4}, {5,6}; the cell swaps are automorphisms
-        # too, but not twin transpositions: 720/8 walked, 15 images
-        ("(x1+x2)*(x3+x4)*(x5+x6)", 90),
-        # one cell: one relabeling walked, one image
+        # (1 3)(2 4) is an automorphism but no transposition is
+        ("(x1-x2)*(x3-x4)", 6),
+        # 720 relabelings over the 48 automorphisms of the three factors
+        ("(x1+x2)*(x3+x4)*(x5+x6)", 15),
+        # every relabeling is an automorphism
         ("x1*x2*x3*x4*x5*x6*x7", 1),
     ],
 )
-def test_orbit_walks_one_relabeling_per_twin_coset(text, walked):
-    f = form(text)
-    n = len(f.varset)
-    relabels = Relabelings(n)
-    assert orbit(f, relabels) == {apply_perm(p, f) for p in all_perms(n)}
-    assert sum(len(pairs) for pairs in relabels._transversals.values()) == walked
+def test_orbit_size(text, size):
+    assert len(orbit(form(text))) == size
 
 
 def per_variable_signature_cells(f: CanonForm, n: int) -> dict:
@@ -316,10 +324,6 @@ def test_reduce_quotient_is_identity_on_combined_forms():
     for text in ("x1/(x2-x3/x4)", "(x1-x2)/(x3/x4+x5) + x6/x7", "x1*(x2+x3)-x4"):
         f = form(text)
         assert reduce_quotient(f.num, f.den) == (f.num, f.den)
-
-
-def test_all_perms_count():
-    assert sum(1 for _ in all_perms(4)) == 24
 
 
 def test_perm_inverse_roundtrip():
