@@ -12,10 +12,12 @@ tuples of ints this is exactly Python's native tuple order, e.g.
 ``(1, 3) < (2, 3, 4)`` and ``(2,) < (2, 3)``.
 
 A ``PolyTable`` belongs to one build.  It keeps one copy of each distinct
-polynomial, computes the product of each operand pair once and negates
-each stored polynomial once, so the many forms of an exhaustive build
-share their polynomials, their products and their negations.
-Polynomials are immutable, so sharing changes no value.
+polynomial, keyed by its term tuple, computes the product of each operand
+pair once and negates each stored polynomial once, so the many forms of an
+exhaustive build share their polynomials, their products and their
+negations.  A caller holding sorted terms finds the stored copy by them
+and builds a polynomial only when it is new.  Polynomials are immutable,
+so sharing changes no value.
 """
 
 from __future__ import annotations
@@ -196,23 +198,26 @@ ONE = MultiPoly.constant(1)
 
 
 class PolyTable:
-    """One build's polynomials: each distinct one stored once, each product
-    of an operand pair computed once, each stored polynomial negated once.
+    """One build's polynomials: each distinct one stored once under its term
+    tuple, each product of an operand pair computed once, each stored
+    polynomial negated once.
 
-    A table lives as long as the build that owns it; nothing is shared
-    between builds.
+    ``polys.get(terms)`` is the stored polynomial with those sorted terms,
+    or None; the tuple compares in C, so a lookup runs no Python-level
+    ``__hash__`` or ``__eq__``.  A table lives as long as the build that
+    owns it; nothing is shared between builds.
     """
 
     __slots__ = ("polys", "products", "negations")
 
     def __init__(self):
-        self.polys: dict = {}      # polynomial -> its stored copy
+        self.polys: dict = {}      # term tuple -> the stored polynomial
         self.products: dict = {}   # (a, b) -> a*b
         self.negations: dict = {}  # p -> -p, both stored
 
     def intern(self, p: MultiPoly) -> MultiPoly:
         """The stored polynomial equal to p, storing p if it is new."""
-        return self.polys.setdefault(p, p)
+        return self.polys.setdefault(p.terms, p)
 
     def product(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         """The stored product of two polynomials on disjoint variables."""

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from arithex.canon import (
+    OPS,
     CanonForm,
+    NonAEResult,
     NonContiguousVariables,
     OverlappingVariables,
     VariableNotPresent,
@@ -13,6 +15,7 @@ from arithex.canon import (
     assign_zero,
     atom,
     combine,
+    combine_pair,
     eval_form,
     form_str,
     is_isomorphic,
@@ -25,7 +28,7 @@ from arithex.canon import (
     swap_operands,
 )
 from arithex.exprtree import parse, to_canon
-from arithex.mpoly import ONE, MultiPoly, PolyTable
+from arithex.mpoly import ONE, ZERO, MultiPoly, PolyTable
 from arithex.oracle import compute_orbits, generate
 from arithex.projrat import INF, UNDEFINED
 
@@ -103,6 +106,46 @@ def test_swap_operands_matches_reversed_combine(op, f, g):
     assert swapped == expected and swapped.varset == expected.varset
     assert swapped.num is table.intern(swapped.num)
     assert swapped.den is table.intern(swapped.den)
+
+
+def test_combine_pair_finds_stored_numerators_by_their_terms():
+    table = PolyTable()
+    x = {i: atom(i, table) for i in range(1, 5)}
+    f = combine("-", x[1], x[2], table=table)  # x1 - x2
+    g = combine("/", x[3], x[4], table=table)  # x3 / x4
+    first = combine_pair(f, g, OPS, table=table)
+    stored = dict(table.polys)
+    again = combine_pair(f, g, OPS, table=table)
+    # the second pass stores nothing new and returns the stored objects
+    assert table.polys == stored
+    for (op, res), (op_again, res_again) in zip(first, again):
+        assert op == op_again and res_again.num is res.num and res_again.den is res.den
+        assert table.polys[res.num.terms] is res.num
+        assert table.polys[res.den.terms] is res.den
+    # another pair reaching the same + numerator holds the stored object
+    left = combine("+", combine("+", x[1], x[2], table=table), x[3], table=table)
+    right = combine("+", x[1], combine("+", x[2], x[3], table=table), table=table)
+    assert left.num is right.num and left.num.text() == "x1 + x2 + x3"
+
+
+def test_combine_pair_rejects_a_vanishing_numerator():
+    zero = {i: CanonForm(ZERO, ONE, frozenset((i,))) for i in (1, 2)}
+    with pytest.raises(NonAEResult):
+        combine("*", zero[1], atom(2))
+    with pytest.raises(NonAEResult):  # an empty + numerator, found by its terms
+        combine("+", zero[1], zero[2], table=PolyTable())
+
+
+def test_form_equality_is_by_value():
+    table = PolyTable()
+    f = combine("/", atom(1, table), atom(2, table), table=table)  # x1 / x2
+    # a shared numerator object does not make forms equal
+    g = CanonForm(f.num, table.intern(MultiPoly.variable(3)), frozenset((1, 3)))
+    assert f.num is g.num and f != g and g != f
+    # equal terms in separate objects do
+    h = form("x1/x2")
+    assert h.num is not f.num and h.num.terms is not f.num.terms
+    assert h == f and f == h and hash(h) == hash(f)
 
 
 def test_swap_operands_rejects_symmetric_ops():

@@ -131,6 +131,16 @@ def test_evaluation_respects_ring_ops(da, db):
         assert pa.mul_disjoint(pb).evaluate(point) == pa.evaluate(point) * pb.evaluate(point)
 
 
+def test_poly_table_finds_a_stored_polynomial_by_its_terms():
+    table = PolyTable()
+    p = table.intern(P(((1, 3), 1), ((2,), -1)))  # x1*x3 - x2
+    q = P(((1, 3), 1), ((2,), -1))  # equal to p, a separate object
+    assert q is not p and table.intern(q) is p
+    # the term tuple finds the same stored object, however it was built
+    assert table.polys.get(tuple(list(q.terms))) is p
+    assert table.polys.get((-p).terms) is None
+
+
 def test_poly_table_negates_each_stored_polynomial_once():
     table = PolyTable()
     p = table.intern(P(((1, 3), 1), ((2,), -1)))  # x1*x3 - x2
