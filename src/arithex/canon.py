@@ -56,11 +56,14 @@ it is not stored (at n = 5, 21 984 of the 24 040 are).
 ``swap_operands`` builds its results from stored polynomials and their
 stored negations alone.  An exhaustive build that passes one table thus
 computes each product once, negates each polynomial once and keeps one
-copy of each polynomial.  ``combine`` is its one-operator call, and
-``_normalized`` only serves zero assignment, whose quotients are new.  A
-form hashes its polynomials' cached hashes, so hashing a form reads no
-term, and two forms holding the same polynomial objects, as equal forms
-of one build do, compare equal without reading a term.
+copy of each polynomial, whose terms are the table's one copy of each
+(monomial, coefficient) pair: the + and - numerators are sorted from
+stored polynomials' terms, so they hold stored terms too.  ``combine`` is
+its one-operator call, and ``_normalized`` only serves zero assignment,
+whose quotients are new.  A form hashes its polynomials' cached hashes,
+so hashing a form reads no term, and two forms holding the same
+polynomial objects, as equal forms of one build do, compare equal
+without reading a term.
 
 An orbit walks all n! relabelings of {1..n}, each through ``apply_perm``;
 every caller in the package takes orbits of forms on at most 4 variables
@@ -205,7 +208,8 @@ def combine_pair(
                 num = product(f.num, g.num)
             else:
                 # F1*G2 and F2*G1 share no monomial: the numerator is one
-                # sort of two sorted runs, built only if it is not stored
+                # sort of two sorted runs of stored terms, built only if it
+                # is not stored
                 terms = tuple(sorted(f1g2.terms + (f2g1 if op == "+" else negation(f2g1)).terms))
                 num = polys.get(terms)
                 if num is None:

@@ -12,12 +12,15 @@ tuples of ints this is exactly Python's native tuple order, e.g.
 ``(1, 3) < (2, 3, 4)`` and ``(2,) < (2, 3)``.
 
 A ``PolyTable`` belongs to one build.  It keeps one copy of each distinct
-polynomial, keyed by its term tuple, computes the product of each operand
-pair once and negates each stored polynomial once, so the many forms of an
-exhaustive build share their polynomials, their products and their
-negations.  A caller holding sorted terms finds the stored copy by them
-and builds a polynomial only when it is new.  Polynomials are immutable,
-so sharing changes no value.
+polynomial, keyed by its term tuple, and one copy of each distinct
+(monomial, coefficient) term, which every stored polynomial holds in
+place of its own.  It computes the product of each operand pair once and
+negates each stored polynomial once, so the many forms of an exhaustive
+build share their polynomials, their products, their negations and their
+terms; with coefficients +-1, a build on {1..n} keeps at most 2 * 2^n
+terms.  A caller holding sorted terms finds the stored copy by them and
+builds a polynomial only when it is new.  Polynomials and terms are
+immutable, so sharing changes no value.
 """
 
 from __future__ import annotations
@@ -200,24 +203,34 @@ ONE = MultiPoly.constant(1)
 class PolyTable:
     """One build's polynomials: each distinct one stored once under its term
     tuple, each product of an operand pair computed once, each stored
-    polynomial negated once.
+    polynomial negated once, and each distinct term kept once.
 
     ``polys.get(terms)`` is the stored polynomial with those sorted terms,
     or None; the tuple compares in C, so a lookup runs no Python-level
-    ``__hash__`` or ``__eq__``.  A table lives as long as the build that
-    owns it; nothing is shared between builds.
+    ``__hash__`` or ``__eq__``.  A polynomial stored by ``intern`` holds
+    the table's terms; one built from stored polynomials' terms, as
+    ``canon.combine_pair`` builds its + and - numerators, already does.  A
+    table lives as long as the build that owns it; nothing is shared
+    between builds.
     """
 
-    __slots__ = ("polys", "products", "negations")
+    __slots__ = ("polys", "terms", "products", "negations")
 
     def __init__(self):
         self.polys: dict = {}      # term tuple -> the stored polynomial
+        self.terms: dict = {}      # (monomial, coefficient) -> the stored term
         self.products: dict = {}   # (a, b) -> a*b
         self.negations: dict = {}  # p -> -p, both stored
 
     def intern(self, p: MultiPoly) -> MultiPoly:
-        """The stored polynomial equal to p, storing p if it is new."""
-        return self.polys.setdefault(p.terms, p)
+        """The stored polynomial equal to p; if it is new, p is stored,
+        with its terms replaced by the table's equal ones."""
+        stored = self.polys.get(p.terms)
+        if stored is None:
+            # equal terms in an equal tuple: p's value and hash stay
+            p.terms = tuple(map(self.terms.setdefault, p.terms, p.terms))
+            stored = self.polys[p.terms] = p
+        return stored
 
     def product(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         """The stored product of two polynomials on disjoint variables."""

@@ -6,13 +6,15 @@ deduplicating by canonical form.  Each operand pair is combined once,
 under every operator, by ``canon.combine_pair``.  One polynomial table
 serves the whole build: each product of two operand polynomials is
 computed once, each stored polynomial is negated at most once, and the
-stored forms share one copy of each distinct polynomial.  The table,
-negations included, is dropped when the build returns.  The build also
-classifies by ending operator, firing the ending rules as it records each
-result, and finds every isomorphism class, as below.  On top of the
-generated universe it keys the classes, types them, and cross-checks
-everything against the recurrence engine and the published reference
-values.
+stored forms share one copy of each distinct polynomial, whose terms are
+one copy of each distinct (monomial, coefficient) pair.  The table,
+negations and terms included, is dropped when the build returns.  An
+entry keeps its first decomposition in three slots of its own, with no
+tuple.  The build also classifies by ending operator, firing the ending
+rules as it records each result, and finds every isomorphism class, as
+below.  On top of the generated universe it keys the classes, types
+them, and cross-checks everything against the recurrence engine and the
+published reference values.
 
 A build makes no reference cycles, so reference counting alone frees it;
 the CLI relies on that and runs every command with the cyclic garbage
@@ -102,15 +104,20 @@ class ClassificationAmbiguous(RuntimeError):
 
 
 class AEntry:
-    """A generated expression: canonical form plus the first way it arose.
-    While its set is built, endop holds the ending rules fired so far, and
-    until its size is complete, cls holds a node of that size's union-find."""
+    """A generated expression: canonical form plus the first way it arose,
+    form = left op right, held in three slots with no tuple; an atom has op,
+    left and right None.  While its set is built, endop holds the ending
+    rules fired so far, and until its size is complete, cls holds a node of
+    that size's union-find."""
 
-    __slots__ = ("form", "decomp", "endop", "typeclass", "cls", "_witness")
+    __slots__ = ("form", "op", "left", "right", "endop", "typeclass", "cls", "_witness")
 
-    def __init__(self, form: CanonForm, decomp, endop: Optional[str], cls):
+    def __init__(self, form: CanonForm, op: Optional[str], left: Optional[CanonForm],
+                 right: Optional[CanonForm], endop: Optional[str], cls):
         self.form = form
-        self.decomp: Optional[tuple] = decomp  # (op, left form, right form); None: atom
+        self.op = op
+        self.left = left
+        self.right = right
         self.endop = endop
         self.typeclass: Optional[int] = None
         self.cls = cls  # its OrbitClass, shared by exactly the isomorphic entries of a size
@@ -149,11 +156,11 @@ class Family:
         """Expression tree of the first recorded construction."""
         entry = self.entry_of(form)
         if entry._witness is None:
-            if entry.decomp is None:
+            if entry.op is None:
                 entry._witness = Var(next(iter(form.varset)))
             else:
-                op, left, right = entry.decomp
-                entry._witness = Node(op, self.witness(left), self.witness(right))
+                entry._witness = Node(entry.op, self.witness(entry.left),
+                                      self.witness(entry.right))
         return entry._witness
 
     def class_key(self, form: CanonForm) -> str:
@@ -220,7 +227,7 @@ def generate(n: int, ops: str = "+-*/") -> Family:
             family.sets[fs] = AESet(subset, entries)
             if size == 1:
                 a = canon.atom(subset[0], table)
-                entries[a] = AEntry(a, None, "*" if classify else None, atoms)
+                entries[a] = AEntry(a, None, None, None, "*" if classify else None, atoms)
                 first_type[fs] = {a}
                 continue
             level.append(entries)
@@ -286,7 +293,7 @@ def _record(entries: dict, form: CanonForm, op: str, left, right, fires: bool,
         if node is None:
             node = joins[triple] = len(parent)
             parent.append(node)
-        entries[form] = AEntry(form, (op, left, right), op if fires else None, node)
+        entries[form] = AEntry(form, op, left, right, op if fires else None, node)
         return
     if fires and op not in (entry.endop or ""):
         entry.endop = (entry.endop or "") + op

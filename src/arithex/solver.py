@@ -146,11 +146,10 @@ class _Program:
         self.left = array("i")
         self.right = array("i")
         for entry in proper:
-            if entry.decomp:
-                op, fa, fb = entry.decomp
-                ops.append(op)
-                self.left.append(position[id(fa)])
-                self.right.append(position[id(fb)])
+            if entry.op:
+                ops.append(entry.op)
+                self.left.append(position[id(entry.left)])
+                self.right.append(position[id(entry.right)])
             else:
                 ops.append("x")
                 self.left.append(next(iter(entry.form.varset)))
@@ -161,7 +160,7 @@ class _Program:
         few = sum(len(family.sets[varset].entries) for varset in first if 2 * len(varset) <= n)
         rows = {op: ([None] * few, [None] * few) for op in family.ops}
         for k, entry in enumerate(self.entries if n > 1 else ()):
-            op, fa, fb = entry.decomp
+            op, fa, fb = entry.op, entry.left, entry.right
             a, b = position[id(fa)], position[id(fb)]
             if a < b:
                 row, small, other = rows[op][1], a, b

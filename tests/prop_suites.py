@@ -241,10 +241,9 @@ def plain_scan_hits(family, numbers, target):
         if not varset <= level:
             continue
         for form, entry in aeset.entries.items():
-            if entry.decomp:
-                op, left, right = entry.decomp
-                a, b = value[left], value[right]
-                v = UNDEFINED if a is UNDEFINED or b is UNDEFINED else _PROJECTIVE_OPS[op](a, b)
+            if entry.op:
+                a, b = value[entry.left], value[entry.right]
+                v = UNDEFINED if a is UNDEFINED or b is UNDEFINED else _PROJECTIVE_OPS[entry.op](a, b)
             else:
                 v = point[next(iter(varset))]
             if varset != level:

@@ -141,6 +141,21 @@ def test_poly_table_finds_a_stored_polynomial_by_its_terms():
     assert table.polys.get((-p).terms) is None
 
 
+def test_poly_table_keeps_one_copy_of_each_term():
+    table = PolyTable()
+    p = table.intern(P(((1, 3), 1), ((2,), -1)))  # x1*x3 - x2
+    q = table.intern(P(((2,), -1), ((4,), 1)))  # -x2 + x4, sharing -x2
+    assert q.terms[0] is p.terms[1]
+    # a negation and a product are stored with the table's terms too
+    neg = table.negation(q)  # x2 - x4
+    pq = table.product(neg, V(5))  # x2*x5 - x4*x5
+    r = table.intern(P(((2, 5), 1), ((6,), 1)))  # x2*x5 + x6
+    assert r.terms[0] is pq.terms[0]
+    for s in (p, q, neg, pq, r):
+        assert all(table.terms[term] is term for term in s.terms)
+    assert len(table.terms) == 8
+
+
 def test_poly_table_negates_each_stored_polynomial_once():
     table = PolyTable()
     p = table.intern(P(((1, 3), 1), ((2,), -1)))  # x1*x3 - x2

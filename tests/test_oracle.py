@@ -113,11 +113,10 @@ def test_recorded_decompositions_recombine_to_their_form(family4):
     # combine through a fresh table must give the same form
     for aeset in family4.sets.values():
         for form, entry in aeset.entries.items():
-            if entry.decomp is None:
+            if entry.op is None:
                 assert len(form.varset) == 1
                 continue
-            op, a, b = entry.decomp
-            res = canon.combine(op, a, b)
+            res = canon.combine(entry.op, entry.left, entry.right)
             assert res == form and res.varset == form.varset
 
 
@@ -187,6 +186,19 @@ def test_stored_forms_share_polynomials(family5):
         assert len({id(p) for p in polys}) == len(set(polys)), family.ops
 
 
+def test_stored_polynomials_share_their_terms(family5):
+    # the build's table keeps one copy of each (monomial, coefficient)
+    # pair, and every stored polynomial holds that copy
+    terms = {}
+    for aeset in family5.sets.values():
+        for form in aeset.entries:
+            for p in (form.num, form.den):
+                for term in p.terms:
+                    assert terms.setdefault(term, term) is term, (form, term)
+    # the coefficients are +-1, on the 2^5 monomials of {1..5}
+    assert len(terms) <= 2 * 2**5
+
+
 def test_stored_forms_have_unit_coefficients_and_no_shared_monomial(family5):
     assert prop_suites.check_unit_forms(family5) == 33737
     for ops in FRAGMENTS:
@@ -228,7 +240,8 @@ def _reference_generate(n, ops):
 
 def _generated(family):
     return [
-        (aeset.subset, [(f, f.varset, e.decomp) for f, e in aeset.entries.items()])
+        (aeset.subset, [(f, f.varset, None if e.op is None else (e.op, e.left, e.right))
+                        for f, e in aeset.entries.items()])
         for aeset in family.sets.values()
     ]
 
@@ -330,6 +343,20 @@ def test_generate_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 24_000_000
+
+
+def test_generate_retained_memory_bound():
+    # tracemalloc heap that the n = 5 family holds once generate returns:
+    # 11.97 MB with a decomposition tuple per entry (1.6 MB of it) and a
+    # copy of each term per stored polynomial (1.1 MB), 9.28 MB with
+    # neither (Python 3.10-3.12); 10.7 MB is 1.15 times that
+    tracemalloc.start()
+    try:
+        family = generate(5)  # alive while the heap is read
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 10_700_000
 
 
 @pytest.mark.parametrize(
