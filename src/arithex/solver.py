@@ -23,27 +23,32 @@ The forms on all of {1..n}, which are never operands, are not evaluated
 one by one.  Each is a op b, its recorded decomposition, with a and b on
 complementary variable sets; given a, the hit test is linear in b's pair
 (x, y), c1*x + c2*y = 0, so b must be the point -c2:c1.  The forms are
-grouped by operator and by the operand on the side with fewer forms;
-each group computes that point once and looks it up among the keys of the
-other side's values (N / D as a float, which int division rounds
-correctly, so equal points share a key; "inf" for D = 0; the reduced pair
-if the float overflows).  Only the forms found take the exact test.
+grouped by operator and by the operand on the side with fewer forms, and
+each group computes that point once.  The groups are kept by the subset
+whose forms they look up, the other side's (15 subsets at n = 5, 31 at
+n = 6): a puzzle gathers in one dict the points that the groups of a
+subset need and passes once over the keys of that subset's values (N / D
+as a float, which int division rounds correctly, so equal points share a
+key; "inf" for D = 0; the reduced pair if the float overflows), a hash
+semi-join.  A puzzle so compares 6 530 keys at n = 5 and 181 082 at
+n = 6, where one pass per group compared 53 052 and 1 583 292.  Only the
+forms found take the exact test.
 
 What depends only on the family is done once per family and kept on it.
 The first solve with n numbers compiles the witness trees of the forms on
 {1..n} into a program, ``Family._programs[n]``: 6 595 steps and 294
-groups in about 0.5 MB at n = 5, 181 858 steps and 2 306 groups in about
-15 MB at n = 6.
+groups in about 0.54 MB at n = 5, 181 858 steps and 2 306 groups in about
+14.7 MB at n = 6.
 The first hit of a class records the class on every stored member, as
 ``oracle.compute_orbits`` does (``Family.class_key``): the build has
 already grouped the members, so this takes their least text and
 relabels nothing.  Recording all 500 classes at n = 5 adds about 0.8 MB,
 the level grouped by class and cached polynomial text.  A puzzle then
-runs one loop over plain ints and one lookup per group, and keeps only
-the set of the classes it has seen, by id: unless all witnesses are
-wanted, a hit of a class seen before is skipped before any keying or
-lookup by form.  The first puzzles on a family pay for
-this state: on a fresh n = 5 family with the program compiled, the
+runs one loop over plain ints and one pass per subset looked up, and
+keeps only the set of the classes it has seen, by id: unless all
+witnesses are wanted, a hit of a class seen before is skipped before any
+keying or lookup by form.  The first puzzles on a family pay for this
+state: on a fresh n = 5 family with the program compiled, the
 projective puzzle 0, 1, 3, 10, 8 -> inf (251 classes) took 20-32 ms in
 process, 12-19 ms of it keying its classes (2-vCPU Xeon, Python 3.11).
 """
@@ -53,6 +58,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import Optional
 
@@ -122,14 +128,16 @@ class _Program:
     order: operands precede their uses, and the forms of one subset hold
     consecutive steps.  The full-level forms, entries[k], are never
     operands and take no step; each is held by the group of its first
-    decomposition.  A group (op, small_left, small, lo, slots) is one
+    decomposition.  A group (op, small_left, small, slots) is one
     operator and one operand, small, the one with the lower step index, so
-    on the side with fewer forms; slots[j] is the k of the member whose
-    other operand is step lo + j, else -1.  At n = 1 the one form, x1, has
-    no decomposition: it takes a step, and a group "x" of its own.
+    on the side with fewer forms.  ranges holds one (lo, hi, groups) per
+    subset that groups look up: its forms are steps lo..hi-1, and slots[j]
+    is the k of the member whose other operand is step lo + j, else -1.
+    At n = 1 the one form, x1, has no decomposition: it takes a step, and
+    a range with a group "x" of its own.
     """
 
-    __slots__ = ("op", "left", "right", "groups", "entries")
+    __slots__ = ("op", "left", "right", "ranges", "entries")
 
     def __init__(self, family: oracle.Family, n: int):
         full = frozenset(range(1, n + 1))
@@ -159,6 +167,7 @@ class _Program:
         # small operand right and left, of groups (lo, slots)
         few = sum(len(family.sets[varset].entries) for varset in first if 2 * len(varset) <= n)
         rows = {op: ([None] * few, [None] * few) for op in family.ops}
+        ranges: dict = {}  # lo -> (lo, hi, the groups that look up lo..hi-1)
         for k, entry in enumerate(self.entries if n > 1 else ()):
             op, fa, fb = entry.op, entry.left, entry.right
             a, b = position[id(fa)], position[id(fb)]
@@ -169,21 +178,16 @@ class _Program:
             group = row[small]
             if group is None:
                 varset = (fb if a < b else fa).varset
-                size = len(family.sets[varset].entries)
-                group = row[small] = (first[varset], array("i", [-1]) * size)
+                lo, size = first[varset], len(family.sets[varset].entries)
+                group = row[small] = (lo, array("i", [-1]) * size)
+                ranges.setdefault(lo, (lo, lo + size, []))[2].append((op, a < b, small, group[1]))
             group[1][other - group[0]] = k
-        self.groups = [
-            (op, small_left, small) + group
-            for op, sides in rows.items()
-            for small_left, row in zip((False, True), sides)
-            for small, group in enumerate(row)
-            if group is not None
-        ]
+        self.ranges = list(ranges.values())
         if n == 1:  # x1 has no decomposition: "x" on a step of its own
             ops.append("x")
             self.left.append(1)
             self.right.append(0)
-            self.groups.append(("x", False, 0, 0, array("i", [0])))
+            self.ranges.append((0, 1, [("x", False, 0, array("i", [0]))]))
         self.op = "".join(ops)
 
     def hits(self, numbers: tuple, target: ProjValue) -> list:
@@ -192,6 +196,7 @@ class _Program:
         tp, tq = (1, 0) if target is INF else (target.numerator, target.denominator)
         Ns: list = []  # (N, D) of the steps
         Ds: list = []
+        keys: list = []  # the point key of each step
         # operators in falling order of frequency
         for op, a, b in zip(self.op, self.left, self.right):
             if op == "/":
@@ -207,43 +212,49 @@ class _Program:
                 N, D = x.numerator, x.denominator
             Ns.append(N)
             Ds.append(D)
-        keys = list(map(_point_key, Ns, Ds))
+            # _point_key(N, D), without a call per step
+            try:
+                keys.append(N / D if D else "inf")
+            except OverflowError:
+                keys.append(_point_key(N, D))
         found = []
-        for op, small_left, s, lo, slots in self.groups:
-            # a member's pair is linear in its other operand's (x, y):
-            # N = al*x + be*y, D = ga*x + de*y, (p, q) the small operand's
-            p, q = Ns[s], Ds[s]
-            if op == "/":
-                al, be, ga, de = (0, p, q, 0) if small_left else (q, 0, 0, p)
-            elif op == "-":
-                al, be, ga, de = (-q, p, 0, q) if small_left else (q, -p, 0, q)
-            elif op == "*":
-                al, be, ga, de = p, 0, 0, q
-            elif op == "+":
-                al, be, ga, de = q, p, 0, q
-            else:
-                al, be, ga, de = 1, 0, 0, 1
-            # a hit needs N*tq = D*tp, that is c1*x + c2*y = 0: the other
-            # operand is the point -c2:c1, or anything if c1 = c2 = 0
-            c1, c2 = al * tq - ga * tp, be * tq - de * tp
-            hi = lo + len(slots)
-            if c1 or c2:
-                need, steps, b = _point_key(-c2, c1), [], lo
-                try:
-                    while True:
-                        b = keys.index(need, b, hi)
-                        steps.append(b)
-                        b += 1
-                except ValueError:
-                    pass
-            else:
-                steps = range(lo, hi)
-            for b in steps:
-                k = slots[b - lo]
+        for lo, hi, groups in self.ranges:
+            needs: dict = {}  # point key -> the tests of the groups that need it
+            every: list = []  # the tests of the groups that take any point
+            for op, small_left, s, slots in groups:
+                # a member's pair is linear in its other operand's (x, y):
+                # N = al*x + be*y, D = ga*x + de*y, (p, q) the small operand's
+                p, q = Ns[s], Ds[s]
+                if op == "/":
+                    al, be, ga, de = (0, p, q, 0) if small_left else (q, 0, 0, p)
+                elif op == "-":
+                    al, be, ga, de = (-q, p, 0, q) if small_left else (q, -p, 0, q)
+                elif op == "*":
+                    al, be, ga, de = p, 0, 0, q
+                elif op == "+":
+                    al, be, ga, de = q, p, 0, q
+                else:
+                    al, be, ga, de = 1, 0, 0, 1
+                # a hit needs N*tq = D*tp, that is c1*x + c2*y = 0: the other
+                # operand is the point -c2:c1, or anything if c1 = c2 = 0
+                c1, c2 = al * tq - ga * tp, be * tq - de * tp
+                test = (c1, c2, al, be, ga, de, slots)
+                if c1 or c2:
+                    needs.setdefault(_point_key(-c2, c1), []).append(test)
+                else:
+                    every.append(test)
+            # one pass over the range's keys finds the steps any group needs
+            wanted = compress(range(lo, hi), map(needs.__contains__, keys[lo:hi]))
+            steps = [(b, needs[keys[b]]) for b in wanted]
+            if every:
+                steps += [(b, every) for b in range(lo, hi)]
+            for b, tests in steps:
                 x, y = Ns[b], Ds[b]
-                # keys of unequal points may be equal; 0:0 is undefined
-                if k >= 0 and c1 * x + c2 * y == 0 and (al * x + be * y or ga * x + de * y):
-                    found.append(k)
+                for c1, c2, al, be, ga, de, slots in tests:
+                    k = slots[b - lo]
+                    # keys of unequal points may be equal; 0:0 is undefined
+                    if k >= 0 and c1 * x + c2 * y == 0 and (al * x + be * y or ga * x + de * y):
+                        found.append(k)
         entries = self.entries
         return [entries[k] for k in sorted(found)]
 
@@ -265,9 +276,10 @@ def _point_key(N: int, D: int):
 def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
     """All solutions, one witness per isomorphism class unless want_all.
 
-    Solutions come out in deterministic generation order, grouped by class
-    key first appearance.  A given family must cover at least as many
-    variables as there are numbers.
+    Solutions come out in the generation order of the full-size forms that
+    hit, so with want_all the classes interleave; without it each class
+    gives one solution, its first hit.  A given family must cover at least
+    as many variables as there are numbers.
     """
     n = len(query.numbers)
     if family is None:

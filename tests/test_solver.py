@@ -311,6 +311,23 @@ def test_point_key_equal_points_share_a_key():
     assert _point_key(-(10**400), -3) == _point_key(10**400, 3)
 
 
+# (numbers, target, hits) the lookup treats specially: many groups of one
+# operand set need the same point (2, 2, 2, 2, 2); groups with c1 = c2 = 0
+# take every step of their operand set, and 0:0 steps key as inf (0, 0, ...);
+# 355 steps of the last puzzle are too large for a float and key by their
+# reduced pair, and the hit at 21*10**400 + 1 is found through one of them
+LOOKUP_SPECIALS = [
+    ([F(2)] * 5, F(1), 1760),
+    ([F(2)] * 5, F(0), 3380),
+    ([F(2)] * 5, INF, 2830),
+    ([F(0), F(0), F(1), F(2), F(3)], F(0), 5730),
+    ([F(0), F(0), F(1), F(2), F(3)], INF, 6964),
+    ([F(10**200), F(1, 10**200), F(3), F(7), F(1)], INF, 54),
+    ([F(10**200), F(1, 10**200), F(3), F(7), F(1)], F(21 * 10**400), 2),
+    ([F(10**200), F(1, 10**200), F(3), F(7), F(1)], F(21 * 10**400 + 1), 1),
+]
+
+
 @pytest.mark.parametrize("ops", ["+-*/", "+*", "+-*", "*/", "+-"])
 def test_lookup_matches_plain_scan(ops):
     # the solver finds each full-level form through its last operation; a
@@ -319,7 +336,11 @@ def test_lookup_matches_plain_scan(ops):
     n = family.n
     puzzles = prop_suites.scan_puzzles(31, 12, family, (n - 1, n, n))
     assert {len(numbers) for numbers, _ in puzzles} == {n - 1, n}
-    for numbers, target in puzzles:
+    puzzles = [(numbers, target, None) for numbers, target in puzzles]
+    if ops == "+-*/":
+        puzzles += LOOKUP_SPECIALS
+    for numbers, target, count in puzzles:
         hits = prop_suites.plain_scan_hits(family, numbers, target)
+        assert count in (None, len(hits)), (numbers, target)
         sols = solve(make_query(numbers, target, want_all=True), family)
         assert [s.witness for s in sols] == [family.witness(f) for f in hits], (numbers, target)
