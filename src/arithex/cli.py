@@ -276,6 +276,9 @@ def _rational(text: str, option: str) -> Fraction:
         hint = "; write 'inf' for infinity" if option == "--target" else ""
         raise InputError(f"{option} value {text.strip()!r} divides by zero{hint}") from None
     except ValueError:
+        limit = sys.get_int_max_str_digits()  # int() converts no more digits
+        if 0 < limit < sum(ch.isdigit() for ch in text):
+            raise InputError(f"{option} value has more than {limit} digits") from None
         raise InputError(f"{option} value {text.strip()!r} is not a rational number") from None
 
 
@@ -301,8 +304,7 @@ def cmd_solve(args) -> int:
         print("classes: 0")
         return 0
     for sol in solutions:
-        note = "  [domain extension]" if sol.extension else ""
-        print(f"{sol.expr_text()} = {fmt(sol.value)}{note}")
+        print(f"{sol.expr_text()} = {fmt(sol.value)}")
     print(f"classes: {classes}")
     return 0
 

@@ -15,6 +15,7 @@ Multiplication requires an explicit ``*``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -127,6 +128,9 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             digits += self.text[self.pos]
             self.pos += 1
+        limit = sys.get_int_max_str_digits()  # int() converts no more digits
+        if 0 < limit < len(digits):
+            raise ExprSyntaxError(start + 1, f"a variable index of at most {limit} digits")
         if not digits or int(digits) < 1:
             raise ExprSyntaxError(start + 1, "a positive variable index", digits or self.peek())
         return Var(int(digits))

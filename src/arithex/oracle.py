@@ -49,8 +49,9 @@ members alone: the key is their least serialization (stored forms, whose
 shared polynomials are serialized once), and a set holding fewer members
 than the size is not closed under relabeling and raises.
 ``compute_orbits`` groups a level by class, keys every class and types
-the level; ``Family.class_key`` groups a set once, on first use, and keys
-one class on its first hit.  Nothing is relabeled: ``canon.orbit``, a
+it by its rep (negation commutes with relabeling, so isomorphic forms have
+one type); ``Family.class_key`` groups a set once, on first use, and
+keys one class on its first hit.  Nothing is relabeled: ``canon.orbit``, a
 plain walk over all k! relabelings, serves only ``verify``'s class
 listings at k <= 4 (through ``canon.orbit_key``) and the tests' orbit
 check, which shares no theory with the build.  The readers of a level
@@ -108,9 +109,9 @@ class AEntry:
     form = left op right, held in three slots with no tuple; an atom has op,
     left and right None.  While its set is built, endop holds the ending
     rules fired so far, and until its size is complete, cls holds a node of
-    that size's union-find."""
+    that size's union-find.  Its type is its class's, ``cls.typeclass``."""
 
-    __slots__ = ("form", "op", "left", "right", "endop", "typeclass", "cls", "_witness")
+    __slots__ = ("form", "op", "left", "right", "endop", "cls", "_witness")
 
     def __init__(self, form: CanonForm, op: Optional[str], left: Optional[CanonForm],
                  right: Optional[CanonForm], endop: Optional[str], cls):
@@ -119,7 +120,6 @@ class AEntry:
         self.left = left
         self.right = right
         self.endop = endop
-        self.typeclass: Optional[int] = None
         self.cls = cls  # its OrbitClass, shared by exactly the isomorphic entries of a size
         self._witness = None
 
@@ -327,11 +327,12 @@ def _ops_tuple(ops: str) -> tuple:
 @dataclass
 class OrbitClass:
     """An isomorphism class of one size of a build, shared by its entries.
-    The build sets its size and leaves it unkeyed; keying fills key and rep."""
+    The build sets its size, keying its key and rep, typing its typeclass."""
 
     key: Optional[str] = None        # least serialization over the class = the orbit key
     rep: Optional[CanonForm] = None  # form realizing the key
     size: int = 0                    # identity-distinct members in each set of its size
+    typeclass: Optional[int] = None  # the type of every member: 1, 2 or 3
 
 
 class Orbits:
@@ -374,12 +375,13 @@ def _record_class(members: list) -> OrbitClass:
 
 
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
-    """Isomorphism classes of a generated set on {1..n}, each keyed
-    afresh; the entries come out typed."""
+    """Isomorphism classes of a generated set on {1..n}, each keyed and
+    typed afresh."""
     classes = [_record_class(group) for group in _members(aeset.entries).values()]
     classes.sort(key=lambda c: c.key)
-    classify_types(aeset)
-    return Orbits(classes, aeset.entries)
+    orbits = Orbits(classes, aeset.entries)
+    classify_types(orbits)
+    return orbits
 
 
 # -- classification -----------------------------------------------------------
@@ -417,44 +419,29 @@ def classify_endops(entries: dict) -> None:
             raise ClassificationAmbiguous(f"rules {sorted(fired)} all fired for {form!r}")
 
 
-def classify_types(aeset: AESet) -> None:
-    """Type every entry of a full set whose classes are recorded: 1 if the
-    negation is not present, 3 if it lands in the same class, else 2."""
-    entries = aeset.entries
-    # the entries share their numerators, so each distinct one is negated
-    # once: numerator -> the stored numerator equal to its negation, or
-    # None if no entry has one; one table, keyed by the stored numerators
-    negations = {form.num: form.num for form in entries}
-    stored = list(negations)
-    negations.update(zip(stored, [negations.get(-num) for num in stored]))
-    del stored
-    for form, entry in entries.items():
-        neg_num = negations[form.num]
-        neg = None if neg_num is None else entries.get(CanonForm(neg_num, form.den, form.varset))
-        if neg is None:
-            entry.typeclass = 1
-        elif entry.cls is neg.cls:
-            entry.typeclass = 3
-        else:
-            entry.typeclass = 2
+def classify_types(orbits: Orbits) -> None:
+    """Type every class of a keyed level by its rep."""
+    for cls in orbits.classes:
+        cls.typeclass = classify_type(cls.rep, orbits.entries)
 
 
 def classify_type(form: CanonForm, entries: dict) -> int:
-    """Standalone type test against an explicit universe (isomorphism search)."""
-    neg = canon.negate(form)
-    if neg not in entries:
-        return 1
-    f = canon.relabel_contiguous(form)
-    g = canon.relabel_contiguous(neg)
-    return 3 if canon.is_isomorphic(f, g) is not None else 2
+    """The type of a form stored in entries, a set of a build whose classes
+    are final: 1 if its negation is not stored, 3 if it is stored in the
+    form's own class, else 2.  The classes are exact, so no search."""
+    return _type_rule(entries.get(canon.negate(form)), entries[form].cls)
+
+
+def _type_rule(neg: Optional[AEntry], cls: OrbitClass) -> int:
+    """The type of a form of class cls whose negation is neg, None if not stored."""
+    return 1 if neg is None else 3 if neg.cls is cls else 2
 
 
 def category_table(orbits: Orbits) -> dict:
     """The twelve per-operator, per-type class counts of a classified level."""
     cells = {op: {1: 0, 2: 0, 3: 0} for op in canon.OPS}
     for cls in orbits.classes:
-        entry = orbits.entries[cls.rep]
-        cells[entry.endop][entry.typeclass] += 1
+        cells[orbits.entries[cls.rep].endop][cls.typeclass] += 1
     return cells
 
 
@@ -467,7 +454,7 @@ def dump_lines(family: Family, orbits: Orbits) -> Iterator[dict]:
             "class": cls.key,
             "witness": pretty(family.witness(cls.rep)),
             "endop": entry.endop,
-            "type": entry.typeclass,
+            "type": cls.typeclass,
             "orbit_size": cls.size,
         }
 
@@ -601,10 +588,10 @@ def _check_type2_pairing(orbits: Orbits) -> bool:
     lies in the first."""
     entries = orbits.entries
     for cls in orbits.classes:
-        if entries[cls.rep].typeclass != 2:
+        if cls.typeclass != 2:
             continue
         neg = entries.get(canon.negate(cls.rep))
-        if neg is None or neg.cls is cls or entries[neg.cls.rep].typeclass != 2:
+        if neg is None or neg.cls is cls or neg.cls.typeclass != 2:
             return False
         back = entries.get(canon.negate(neg.cls.rep))
         if back is None or back.cls is not cls:
@@ -613,11 +600,17 @@ def _check_type2_pairing(orbits: Orbits) -> bool:
 
 
 def _check_invariance(orbits: Orbits) -> bool:
-    """Ending operator and type must agree across each class."""
+    """Ending operator and type must agree across each class: each entry,
+    typed by itself, has its rep's ending operator and its class's type."""
     entries = orbits.entries
-    for entry in entries.values():
-        rep_entry = entries[entry.cls.rep]
-        if entry.endop != rep_entry.endop or entry.typeclass != rep_entry.typeclass:
+    # the entries share their numerators, so each distinct one is negated
+    # once: numerator -> the stored numerator equal to its negation, or None
+    stored = {form.num: form.num for form in entries}
+    negations = {num: stored.get(-num) for num in stored}
+    for form, entry in entries.items():
+        cls, neg_num = entry.cls, negations[form.num]
+        neg = None if neg_num is None else entries.get(CanonForm(neg_num, form.den, form.varset))
+        if entry.endop != entries[cls.rep].endop or _type_rule(neg, cls) != cls.typeclass:
             return False
     return True
 

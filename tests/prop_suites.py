@@ -167,11 +167,11 @@ def suite_type2_pairing(seed, cases, family=None):
         form, entry = pool[rng.randrange(len(pool))]
         neg = negate(form)
         entries = family.sets[form.varset].entries
-        if entry.typeclass == 1:
+        if entry.cls.typeclass == 1:
             assert neg not in entries
         else:
             partner = entries[neg]
-            assert partner.typeclass == entry.typeclass
+            assert partner.cls.typeclass == entry.cls.typeclass
             assert neg != form
         done += 1
     return done

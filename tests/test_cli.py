@@ -306,6 +306,25 @@ def test_input_errors_exit_2(argv):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() has no digit limit here")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--expr", "x1+x" + "9" * 5000),
+        ("solve", "--numbers", "9" * 5000 + ",2", "--target", "3"),
+    ],
+)
+def test_over_long_numbers_name_the_digit_limit(argv):
+    # int() refuses more than sys.get_int_max_str_digits() digits, 4300 by default
+    with redirect_stderr(io.StringIO()) as err:
+        code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert f" {sys.get_int_max_str_digits()} " in lines[0] and len(lines[0]) < 200, lines
+
+
 def test_input_error_classes():
     for cls in (
         oracle.LimitExceeded,
@@ -487,7 +506,7 @@ def test_classify_json_matches_full_pipeline():
         assert code == 0
         payload = json.loads(out)
         entry = aeset.entries[to_canon(parse(text))]
-        assert (payload["endop"], payload["type"]) == (entry.endop, entry.typeclass)
+        assert (payload["endop"], payload["type"]) == (entry.endop, entry.cls.typeclass)
         types.add(payload["type"])
     assert types == {1, 2, 3}
 

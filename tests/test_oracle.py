@@ -56,6 +56,17 @@ def form(text):
     return to_canon(parse(text))
 
 
+def search_type(f, entries):
+    """The type of a stored form by an isomorphism search, which shares no
+    theory with the build's classes: 1 if its negation is not stored, 3 if
+    a relabeling maps the form onto its negation, else 2."""
+    neg = canon.negate(f)
+    if neg not in entries:
+        return 1
+    found = canon.is_isomorphic(canon.relabel_contiguous(f), canon.relabel_contiguous(neg))
+    return 3 if found is not None else 2
+
+
 def endop_of(family, text):
     f = form(text)
     return family.entry_of(f).endop
@@ -417,11 +428,29 @@ def test_invariance_check_detects_a_changed_member():
     assert not _check_invariance(orbits)
 
 
+def test_invariance_check_detects_a_member_of_another_type():
+    # f and -f share a type-3 class; pointing -f at another class with its
+    # ending operator keeps every ending operator agreeing with its class's,
+    # but f, typed by itself, becomes type 2
+    fam = generate(4)
+    aeset = fam.full_set(4)
+    orbits = compute_orbits(aeset, 4)
+    assert _check_invariance(orbits)
+    entries = aeset.entries
+    f = next(f for f, e in entries.items() if e.cls.typeclass == 3 and f != e.cls.rep)
+    cls, neg = entries[f].cls, entries[canon.negate(f)]
+    neg.cls = next(c for c in orbits.classes
+                   if c is not cls and entries[c.rep].endop == neg.endop)
+    assert all(e.endop == entries[e.cls.rep].endop for e in entries.values())
+    assert classify_type(f, entries) == 2 and cls.typeclass == 3
+    assert not _check_invariance(orbits)
+
+
 def test_type2_pairing_check_detects_a_self_paired_class():
     fam = generate(4)
     orbits = compute_orbits(fam.full_set(4), 4)
     assert _check_type2_pairing(orbits)
-    cls = next(c for c in orbits.classes if orbits.entries[c.rep].typeclass == 2)
+    cls = next(c for c in orbits.classes if c.typeclass == 2)
     orbits.entries[canon.negate(cls.rep)].cls = cls
     assert not _check_type2_pairing(orbits)
 
@@ -517,11 +546,15 @@ def test_category_table_oracle_small(family4):
                 assert cells[op][t] == reference.CATEGORY_TABLES[k][op][t], (k, op, t)
 
 
-def test_types_agree_between_pipeline_and_search(family4):
-    aeset = family4.full_set(3)
-    compute_orbits(aeset, 3)
-    for form_, entry in aeset.entries.items():
-        assert entry.typeclass == classify_type(form_, aeset.entries)
+def test_types_agree_between_pipeline_and_search(family5):
+    for k in range(1, 6):
+        aeset = family5.full_set(k)
+        for cls in compute_orbits(aeset, k).classes:
+            assert cls.typeclass == search_type(cls.rep, aeset.entries), cls.key
+        if k <= 3:
+            for form_, entry in aeset.entries.items():
+                t = search_type(form_, aeset.entries)
+                assert entry.cls.typeclass == classify_type(form_, aeset.entries) == t, form_
 
 
 def test_sum_decomposition_flattening(family4, decomps4):
@@ -583,11 +616,11 @@ def test_product_type_characterization(family4, decomps4):
         for g in fs:
             g_m = g if canon.is_monic_form(g) else canon.negate(g)
             sub_entries = family4.sets[g_m.varset].entries
-            monicized_types.append(classify_type(g_m, sub_entries))
-        if entry.typeclass == 1:
+            monicized_types.append(search_type(g_m, sub_entries))
+        if entry.cls.typeclass == 1:
             assert sign == 1 and all(t == 1 for t in monicized_types), form_
-        assert (entry.typeclass == 3) == any(t == 3 for t in monicized_types), form_
-        assert (entry.typeclass == 1) == (sign == 1 and all(t == 1 for t in monicized_types)), form_
+        assert (entry.cls.typeclass == 3) == any(t == 3 for t in monicized_types), form_
+        assert (entry.cls.typeclass == 1) == (sign == 1 and all(t == 1 for t in monicized_types)), form_
 
 
 def test_quotient_type_characterization(family4, decomps4):
@@ -617,10 +650,10 @@ def test_quotient_type_characterization(family4, decomps4):
             seen.add((sign, a, b))
         assert len(seen) == 1, form_
         sign, g, h = next(iter(seen))
-        tg = classify_type(g, family4.sets[g.varset].entries)
-        th = classify_type(h, family4.sets[h.varset].entries)
-        assert (entry.typeclass == 3) == (tg == 3 or th == 3), form_
-        assert (entry.typeclass == 1) == (sign == 1 and tg == 1 and th == 1), form_
+        tg = search_type(g, family4.sets[g.varset].entries)
+        th = search_type(h, family4.sets[h.varset].entries)
+        assert (entry.cls.typeclass == 3) == (tg == 3 or th == 3), form_
+        assert (entry.cls.typeclass == 1) == (sign == 1 and tg == 1 and th == 1), form_
         checked += 1
     assert checked > 0
 
