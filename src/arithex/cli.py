@@ -270,16 +270,21 @@ def cmd_verify(args) -> int:
 
 
 def _rational(text: str, option: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()  # int() and str() convert no more digits; 0: none
+    too_long = f"{option} value has more than {limit} digits"
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         hint = "; write 'inf' for infinity" if option == "--target" else ""
         raise InputError(f"{option} value {text.strip()!r} divides by zero{hint}") from None
     except ValueError:
-        limit = sys.get_int_max_str_digits()  # int() converts no more digits
         if 0 < limit < sum(ch.isdigit() for ch in text):
-            raise InputError(f"{option} value has more than {limit} digits") from None
+            raise InputError(too_long) from None
         raise InputError(f"{option} value {text.strip()!r} is not a rational number") from None
+    # exponent notation reaches long values from short text: 1e5000 has 5001 digits
+    if 0 < limit and max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise InputError(too_long)
+    return value
 
 
 def cmd_solve(args) -> int:
@@ -323,11 +328,10 @@ def cmd_classify(args) -> int:
         relabeled = True
     endop = typeclass = None
     if n <= ORACLE_DEFAULT_MAX_N:
-        family = oracle.generate(n)
-        endop = family.entry_of(work).endop
-        typeclass = oracle.classify_type(work, family.sets[work.varset].entries)
+        entry = oracle.generate(n).entry_of(work)
+        endop, typeclass = entry.endop, entry.cls.typeclass
     iso = None
-    if args.against:
+    if args.against is not None:
         other = to_canon(parse_expr(args.against))
         other_work = canon.relabel_contiguous(other)
         iso = canon.is_isomorphic(work, other_work) is not None
@@ -355,7 +359,7 @@ def cmd_classify(args) -> int:
         print(f"type:       {typeclass}")
     else:
         print(f"ends with:  (classification available up to {ORACLE_DEFAULT_MAX_N} variables)")
-    if args.against:
+    if iso is not None:
         print(f"isomorphic to --against: {'yes' if iso else 'no'}")
     return 0
 

@@ -11,9 +11,9 @@ one copy of each distinct (monomial, coefficient) pair.  The table,
 negations and terms included, is dropped when the build returns.  An
 entry keeps its first decomposition in three slots of its own, with no
 tuple.  The build also classifies by ending operator, firing the ending
-rules as it records each result, and finds every isomorphism class, as
-below.  On top of the generated universe it keys the classes, types
-them, and cross-checks everything against the recurrence engine and the
+rules as it records each result, and finds and types every isomorphism
+class, as below.  On top of the generated universe it keys the classes
+and cross-checks everything against the recurrence engine and the
 published reference values.
 
 A build makes no reference cycles, so reference counting alone frees it;
@@ -43,19 +43,22 @@ class.  This is exact:
   relabeling.
 
 By induction on the size, a shared class is then exactly an isomorphism
-class.  The build leaves each class unkeyed and records its size, the
-number of its members in each set of its size.  Keying a class takes its
-members alone: the key is their least serialization (stored forms, whose
-shared polynomials are serialized once), and a set holding fewer members
-than the size is not closed under relabeling and raises.
-``compute_orbits`` groups a level by class, keys every class and types
-it by its rep (negation commutes with relabeling, so isomorphic forms have
-one type); ``Family.class_key`` groups a set once, on first use, and
-keys one class on its first hit.  Nothing is relabeled: ``canon.orbit``, a
-plain walk over all k! relabelings, serves only ``verify``'s class
-listings at k <= 4 (through ``canon.orbit_key``) and the tests' orbit
-check, which shares no theory with the build.  The readers of a level
-take the ``Orbits`` of ``compute_orbits`` and read each class record.
+class.  A form's type asks whether -f is stored and, if so, in f's class;
+negation commutes with relabeling, so isomorphic forms have one type, and
+``classify_types`` reads it once per class, off one member on {1..k}.
+The - rule reads its operands' types off their classes.  The build leaves
+each class unkeyed and records its size, the number of its members in
+each set of its size.  Keying a class takes its members alone: the key is
+their least serialization (stored forms, whose shared polynomials are
+serialized once), and a set holding fewer members than the size is not
+closed under relabeling and raises.  ``compute_orbits`` groups a level
+by class and keys every class; ``Family.class_key`` groups a set once,
+on first use, and keys one class on its first hit.  Nothing is
+relabeled: ``canon.orbit``, a plain walk over all k! relabelings, serves
+only ``verify``'s class listings at k <= 4 (through ``canon.orbit_key``)
+and the tests' orbit check, which shares no theory with the build.  The
+readers of a level take the ``Orbits`` of ``compute_orbits`` and read
+each class record.
 """
 
 from __future__ import annotations
@@ -193,14 +196,15 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     Each (op, left, right) joins its result's class to the triple of op and
     the operands' classes, final since their sizes are complete (module
     docstring); when a size is complete, each class of it becomes one
-    unkeyed ``OrbitClass``, set on its entries.
+    unkeyed ``OrbitClass``, set on its entries and typed by
+    ``classify_types``.
 
     If ``check_classifiable`` passes the ops, each (op, left, right) fires
     the rule of op when both operands' ending operators, final since their
     sets are complete, are in ``_END_RULES[op]`` and, for -, the right
-    operand is first type (its negation is not in its set).  An atom ends
-    with *, and ``classify_endops`` closes each complete set.  Otherwise
-    every endop stays None.
+    operand's class is first type (its negation is not in its set).  An
+    atom ends with *, and ``classify_endops`` closes each complete set.
+    Otherwise every endop stays None.
     """
     if not 1 <= n <= MAX_N:
         raise LimitExceeded(f"n={n} outside 1..{MAX_N}")
@@ -214,9 +218,7 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     # fires[a, b]: the ops whose rule accepts operands ending with a and b
     fires = {(a, b): "".join(op for op, ok in rules.items() if a in ok and b in ok)
              for a in ends for b in ends}
-    negation = table.negation
-    first_type: dict = {}  # operand subset -> its forms whose negation it lacks
-    atoms = OrbitClass(size=1)  # the class of every atom
+    atoms = OrbitClass(size=1, typeclass=1)  # the class of every atom
     for size in range(1, n + 1):
         joins: dict = {}  # (op, id of left class, id of right class) -> a node of parent
         parent: list = []  # this size's union-find: node -> parent node
@@ -228,7 +230,6 @@ def generate(n: int, ops: str = "+-*/") -> Family:
             if size == 1:
                 a = canon.atom(subset[0], table)
                 entries[a] = AEntry(a, None, None, None, "*" if classify else None, atoms)
-                first_type[fs] = {a}
                 continue
             level.append(entries)
             first, rest = subset[0], subset[1:]
@@ -239,16 +240,15 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 right = fs - left
                 left_entries = family.sets[left].entries
                 right_entries = family.sets[right].entries
-                left_first, right_first = first_type.get(left), first_type.get(right)
                 for e1, entry1 in left_entries.items():
                     c1 = id(entry1.cls)
                     for e2, entry2 in right_entries.items():
                         c2 = id(entry2.cls)
                         fired = swapped = fires[entry1.endop, entry2.endop]
                         if "-" in fired:
-                            if e2 not in right_first:
+                            if entry2.cls.typeclass != 1:
                                 fired = fired.replace("-", "")
-                            if e1 not in left_first:
+                            if entry1.cls.typeclass != 1:
                                 swapped = swapped.replace("-", "")
                         for op, res in combine_pair(e1, e2, ops_t, fs, table):
                             if op in "-/":
@@ -263,10 +263,6 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                                         joins, parent)
             if classify:
                 classify_endops(entries)
-            if "-" in rules and size < n:
-                first_type[fs] = {
-                    f for f in entries if CanonForm(negation(f.num), f.den, fs) not in entries
-                }
         # each root of this size's union-find becomes one class; relabeling
         # maps the sets of a size onto each other, so each holds a class's
         # members in equal number
@@ -279,6 +275,8 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 cls.size += 1
         for cls in classes.values():
             cls.size //= len(level)
+        if level:
+            classify_types(level[0])
     return family
 
 
@@ -327,7 +325,7 @@ def _ops_tuple(ops: str) -> tuple:
 @dataclass
 class OrbitClass:
     """An isomorphism class of one size of a build, shared by its entries.
-    The build sets its size, keying its key and rep, typing its typeclass."""
+    The build sets its size and typeclass, keying its key and rep."""
 
     key: Optional[str] = None        # least serialization over the class = the orbit key
     rep: Optional[CanonForm] = None  # form realizing the key
@@ -375,13 +373,11 @@ def _record_class(members: list) -> OrbitClass:
 
 
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
-    """Isomorphism classes of a generated set on {1..n}, each keyed and
-    typed afresh."""
+    """Isomorphism classes of a generated set on {1..n}, each keyed
+    afresh; the build has typed them."""
     classes = [_record_class(group) for group in _members(aeset.entries).values()]
     classes.sort(key=lambda c: c.key)
-    orbits = Orbits(classes, aeset.entries)
-    classify_types(orbits)
-    return orbits
+    return Orbits(classes, aeset.entries)
 
 
 # -- classification -----------------------------------------------------------
@@ -419,21 +415,19 @@ def classify_endops(entries: dict) -> None:
             raise ClassificationAmbiguous(f"rules {sorted(fired)} all fired for {form!r}")
 
 
-def classify_types(orbits: Orbits) -> None:
-    """Type every class of a keyed level by its rep."""
-    for cls in orbits.classes:
-        cls.typeclass = classify_type(cls.rep, orbits.entries)
-
-
-def classify_type(form: CanonForm, entries: dict) -> int:
-    """The type of a form stored in entries, a set of a build whose classes
-    are final: 1 if its negation is not stored, 3 if it is stored in the
-    form's own class, else 2.  The classes are exact, so no search."""
-    return _type_rule(entries.get(canon.negate(form)), entries[form].cls)
+def classify_types(entries: dict) -> None:
+    """Type every class of a complete set of a build by its first member:
+    negation commutes with relabeling, so isomorphic forms have one type."""
+    for form, entry in entries.items():
+        cls = entry.cls
+        if cls.typeclass is None:
+            cls.typeclass = _type_rule(entries.get(canon.negate(form)), cls)
 
 
 def _type_rule(neg: Optional[AEntry], cls: OrbitClass) -> int:
-    """The type of a form of class cls whose negation is neg, None if not stored."""
+    """The type of a form of class cls whose negation is neg, None if not
+    stored: 1 if -f is not constructible, 3 if it is isomorphic to f, else
+    2.  The classes are exact, so no search."""
     return 1 if neg is None else 3 if neg.cls is cls else 2
 
 

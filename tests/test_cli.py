@@ -295,6 +295,8 @@ def test_solve_bad_input_exit_code(argv):
         ("solve", "--numbers", "1,,2", "--target", "3"),
         ("solve", "--numbers", "1,2,", "--target", "3"),
         ("count", "--max-n", f"{COUNT_MAX_N + 1}"),
+        ("classify", "--expr", "x1+x2", "--against", ""),
+        ("classify", "--expr", "x1+x2", "--against", "", "--json"),
     ],
 )
 def test_input_errors_exit_2(argv):
@@ -312,10 +314,13 @@ def test_input_errors_exit_2(argv):
     [
         ("classify", "--expr", "x1+x" + "9" * 5000),
         ("solve", "--numbers", "9" * 5000 + ",2", "--target", "3"),
+        ("solve", "--numbers", "1e5000,1", "--target", "1e5000"),
+        ("solve", "--numbers", "1e-5000,1", "--target", "1", "--json"),
     ],
 )
 def test_over_long_numbers_name_the_digit_limit(argv):
-    # int() refuses more than sys.get_int_max_str_digits() digits, 4300 by default
+    # int() and str() refuse more than sys.get_int_max_str_digits() digits,
+    # 4300 by default; exponent notation reaches them from short text
     with redirect_stderr(io.StringIO()) as err:
         code, out = run_cli(*argv)
     assert code == 2 and out == ""

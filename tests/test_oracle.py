@@ -17,8 +17,8 @@ from arithex.oracle import (
     _check_class_operations,
     _check_invariance,
     _check_type2_pairing,
+    _type_rule,
     category_table,
-    classify_type,
     compute_orbits,
     dump_lines,
     generate,
@@ -70,6 +70,11 @@ def search_type(f, entries):
 def endop_of(family, text):
     f = form(text)
     return family.entry_of(f).endop
+
+
+def type_of(family, text):
+    f = form(text)
+    return family.entry_of(f).cls.typeclass
 
 
 def test_identity_counts_small(family4):
@@ -442,7 +447,7 @@ def test_invariance_check_detects_a_member_of_another_type():
     neg.cls = next(c for c in orbits.classes
                    if c is not cls and entries[c.rep].endop == neg.endop)
     assert all(e.endop == entries[e.cls.rep].endop for e in entries.values())
-    assert classify_type(f, entries) == 2 and cls.typeclass == 3
+    assert _type_rule(neg, cls) == 2 and cls.typeclass == 3
     assert not _check_invariance(orbits)
 
 
@@ -523,17 +528,14 @@ def test_every_entry_has_unique_endop(family4):
 
 
 def test_classify_type_examples(family4):
-    entries3 = family4.full_set(3).entries
-    assert classify_type(form("x1+x2*x3"), entries3) == 1
-    assert classify_type(form("x1-x2*x3"), entries3) == 2
-    assert classify_type(form("x1*(x2-x3)"), entries3) == 3
-    entries2 = family4.full_set(2).entries
-    assert classify_type(form("x1-x2"), entries2) == 3
+    assert type_of(family4, "x1+x2*x3") == 1
+    assert type_of(family4, "x1-x2*x3") == 2
+    assert type_of(family4, "x1*(x2-x3)") == 3
+    assert type_of(family4, "x1-x2") == 3
 
 
 def test_classify_type_self_negative_five_vars(family5):
-    entries5 = family5.full_set(5).entries
-    assert classify_type(form("x1+x2*(x3-x4)-x5"), entries5) == 3
+    assert type_of(family5, "x1+x2*(x3-x4)-x5") == 3
 
 
 def test_category_table_oracle_small(family4):
@@ -546,15 +548,25 @@ def test_category_table_oracle_small(family4):
                 assert cells[op][t] == reference.CATEGORY_TABLES[k][op][t], (k, op, t)
 
 
-def test_types_agree_between_pipeline_and_search(family5):
-    for k in range(1, 6):
-        aeset = family5.full_set(k)
-        for cls in compute_orbits(aeset, k).classes:
-            assert cls.typeclass == search_type(cls.rep, aeset.entries), cls.key
-        if k <= 3:
-            for form_, entry in aeset.entries.items():
-                t = search_type(form_, aeset.entries)
-                assert entry.cls.typeclass == classify_type(form_, aeset.entries) == t, form_
+def test_types_agree_between_pipeline_and_search():
+    # a build types every class as it completes its size, with no keying:
+    # each class's type is the search's for one member on {1..k}, and at
+    # k <= 3 the rule and the search agree with it on every member
+    for family in [generate(5)] + [generate(4, ops) for ops in CLASSIFIABLE]:
+        for k in range(1, family.n + 1):
+            entries = family.full_set(k).entries
+            first = {}
+            for form_, entry in entries.items():
+                first.setdefault(id(entry.cls), form_)
+            for form_ in first.values():
+                assert entries[form_].cls.typeclass == search_type(form_, entries), form_
+            if k <= 3:
+                for form_, entry in entries.items():
+                    t = search_type(form_, entries)
+                    assert entry.cls.typeclass == _type_rule(
+                        entries.get(canon.negate(form_)), entry.cls) == t, form_
+        assert all(entry.cls.typeclass in (1, 2, 3)
+                   for aeset in family.sets.values() for entry in aeset.entries.values())
 
 
 def test_sum_decomposition_flattening(family4, decomps4):
