@@ -20,7 +20,7 @@ inside a'|b' iff a lies inside a' and b inside b'.  So a containment in a
 result of the cross-multiplication rules below needs a containment within
 one polynomial of an operand, or a numerator monomial of an operand inside
 one of its denominator monomials, and each rule keeps both invariants.
-The ``/`` flip, ``swap_operands`` and relabeling keep the monomial sets,
+The ``/`` flip, the reversed results and relabeling keep the monomial sets,
 and zero assignment only drops terms and cancels common factors.
 
 What follows, for f = F1/F2 and g = G1/G2:
@@ -45,23 +45,18 @@ assignment is the one operation that can surface a common factor, and it
 cancels it by a slice on the variables the quotient no longer depends on,
 checked by cross-multiplication (see ``reduce_quotient``).
 
-Work repeated across a build is done once.  ``combine_pair`` combines
-one operand pair under several operators in one pass over them, taking
-each cross product an operator needs at most once from a
-``mpoly.PolyTable``.  Every denominator and every ``*`` and ``/``
-numerator is a stored product, or its stored negation when ``/`` flips,
+Work repeated across a build is done once.  ``combine_row`` combines a
+left form with every form of a right set, taking each cross product at
+its first use from the left polynomials' rows in a ``mpoly.PolyTable``.
+Every denominator and every ``*`` and ``/`` numerator is a stored product
+or its stored negation, and so are the reversed ``-`` and ``/`` results,
 so the ``+`` and ``-`` numerators are the only polynomials that can be
-new: each is looked up in the table by its sorted terms and built only if
-it is not stored (at n = 5, 21 984 of the 24 040 are).
-``swap_operands`` builds its results from stored polynomials and their
-stored negations alone.  An exhaustive build that passes one table thus
-computes each product once, negates each polynomial once and keeps one
-copy of each polynomial, whose terms are the table's one copy of each
-(monomial, coefficient) pair: the + and - numerators are sorted from
-stored polynomials' terms, so they hold stored terms too.  ``combine`` is
-its one-operator call, and ``_normalized`` only serves zero assignment,
-whose quotients are new.  A form hashes its polynomials' cached hashes,
-so hashing a form reads no term, and two forms holding the same
+new: each is sorted from stored terms, looked up by them and built only
+if it is not stored (at n = 5, 21 984 of the 24 040 are).  A build that
+passes one table thus computes each product once, negates each
+polynomial once and keeps one copy of each polynomial and of each term.
+``combine`` is the one-pair call.  A form hashes its polynomials' cached
+hashes, so hashing a form reads no term, and two forms holding the same
 polynomial objects, as equal forms of one build do, compare equal
 without reading a term.
 
@@ -155,81 +150,75 @@ def _normalized(num: MultiPoly, den: MultiPoly) -> CanonForm:
     return CanonForm(num, den, num.variables() | den.variables())
 
 
-def combine_pair(
-    f: CanonForm,
-    g: CanonForm,
-    ops: tuple,
-    varset: Optional[frozenset] = None,
-    table: Optional[PolyTable] = None,
-) -> list:
-    """``[(op, f op g) for op in ops]`` for two forms on disjoint variable
-    sets, each op one of +, -, * and /.
+def combine_row(f: CanonForm, gs, ops: tuple, varset: Optional[frozenset] = None,
+                table: Optional[PolyTable] = None) -> Iterator[list]:
+    """For each form g of gs in turn, on variables disjoint from f's (their
+    union is varset, unchecked if given), f op g for each op of ops, a
+    tuple of distinct operators of + - * /, with g - f right after f - g
+    and g / f right after f / g.
 
     Cross-multiplication rules, with f = F1/F2 and g = G1/G2:
     ``+ -> (F1*G2 + F2*G1)/(F2*G2)``, ``- -> (F1*G2 - F2*G1)/(F2*G2)``,
-    ``* -> (F1*G1)/(F2*G2)``, ``/ -> (F1*G2)/(F2*G1)``.
-
-    Each op's quotient is computed in turn, and the operators share their
-    products: each one is taken from table the first time an op needs it.
-    By the form invariants (see the module docstring) only ``/`` flips a
-    sign, when G1 is not monic, and the + and - numerators need no merge
-    of equal monomials; each is found in table by its sorted terms, and
-    built and stored only if it is new.  The results' num and den are
-    stored in table, a flipped sign taken from its stored negations; a
-    build passes its one table to every call, a one-off call gets a
-    fresh one.
+    ``* -> (F1*G1)/(F2*G2)``, ``/ -> (F1*G2)/(F2*G1)``; g - f negates the
+    numerator of f - g, and g / f is (F2*G1)/(F1*G2).  Only ``/`` flips
+    both signs, when its denominator is not monic (module docstring).  The
+    results hold table's polynomials; a one-off call gets a fresh table.
     """
-    if varset is None:
-        if f.varset & g.varset:
-            raise OverlappingVariables(
-                f"operands share variables {sorted(f.varset & g.varset)}"
-            )
-        varset = f.varset | g.varset
     if table is None:
         table = PolyTable()
     product, negation, polys = table.product, table.negation, table.polys
-    f1g2 = f2g1 = f2g2 = None
-    results = []
-    for op in ops:
-        if op not in OPS:
-            raise ValueError(f"unknown operator {op!r}")
-        if op != "*" and f1g2 is None:
-            f1g2, f2g1 = product(f.num, g.den), product(f.den, g.num)
-        if op == "/":
-            if f2g1.terms[0][1] > 0:
-                num, den = f1g2, f2g1
-            else:
-                num, den = negation(f1g2), negation(f2g1)
-        else:
+    f1, f2 = f.num, f.den
+    row1, row2 = table.products[f1], table.products[f2]
+    cross, common = ops != ("*",), ops != ("/",)  # F1*G2 and F2*G1; F2*G2
+    for g in gs:
+        g1, g2 = g.num, g.den
+        if varset is None and f.varset & g.varset:
+            raise OverlappingVariables(f"operands share variables {sorted(f.varset & g.varset)}")
+        vs = f.varset | g.varset if varset is None else varset
+        if cross:
+            f1g2, f2g1 = row1.get(g2), row2.get(g1)
+            if f1g2 is None:
+                f1g2 = product(f1, g2)
+            if f2g1 is None:
+                f2g1 = product(f2, g1)
+        if common:
+            f2g2 = row2.get(g2)
             if f2g2 is None:
-                f2g2 = product(f.den, g.den)
-            den = f2g2
-            if op == "*":
-                num = product(f.num, g.num)
+                f2g2 = product(f2, g2)
+        results = []
+        for op in ops:
+            if op == "/":
+                num, den = (f1g2, f2g1) if f2g1.terms[0][1] > 0 else (
+                    negation(f1g2), negation(f2g1))
+            elif op == "*":
+                num, den = row1.get(g1), f2g2
+                if num is None:
+                    num = product(f1, g1)
             else:
                 # F1*G2 and F2*G1 share no monomial: the numerator is one
-                # sort of two sorted runs of stored terms, built only if it
-                # is not stored
+                # sort of two sorted runs of stored terms, built only if new
                 terms = tuple(sorted(f1g2.terms + (f2g1 if op == "+" else negation(f2g1)).terms))
-                num = polys.get(terms)
+                num, den = polys.get(terms), f2g2
                 if num is None:
                     num = polys[terms] = MultiPoly(terms)
-        if not num.terms:
-            raise NonAEResult(f"vanishing numerator combining {f!r} {op} {g!r}")
-        results.append((op, CanonForm(num, den, varset)))
-    return results
+            if not num.terms:
+                raise NonAEResult(f"vanishing numerator combining {f!r} {op} {g!r}")
+            results.append(CanonForm(num, den, vs))
+            if op == "-":
+                results.append(CanonForm(negation(num), den, vs))
+            elif op == "/":
+                results.append(CanonForm(f2g1, f1g2, vs) if f1g2.terms[0][1] > 0 else
+                               CanonForm(negation(f2g1), negation(f1g2), vs))
+        yield results
 
 
-def combine(
-    op: str,
-    f: CanonForm,
-    g: CanonForm,
-    varset: Optional[frozenset] = None,
-    table: Optional[PolyTable] = None,
-) -> CanonForm:
-    """f op g for two forms on disjoint variable sets: the one-operator
-    ``combine_pair``."""
-    return combine_pair(f, g, (op,), varset, table)[0][1]
+def combine(op: str, f: CanonForm, g: CanonForm, varset: Optional[frozenset] = None,
+            table: Optional[PolyTable] = None) -> CanonForm:
+    """f op g for two forms on disjoint variable sets: ``combine_row``'s
+    first result for the one right form g."""
+    if op not in OPS:
+        raise ValueError(f"unknown operator {op!r}")
+    return next(combine_row(f, (g,), (op,), varset, table))[0]
 
 
 def negate(f: CanonForm) -> CanonForm:
@@ -237,27 +226,6 @@ def negate(f: CanonForm) -> CanonForm:
     is a valid form; whether it still denotes a constructible expression is
     a question for the exhaustive generator, not for this module."""
     return CanonForm(-f.num, f.den, f.varset)
-
-
-def swap_operands(op: str, f: CanonForm, table: Optional[PolyTable] = None) -> CanonForm:
-    """combine(op, h, g) from f = combine(op, g, h), for op - or /.
-
-    h - g is f with its numerator negated; h / g is f with numerator and
-    denominator swapped, both negated if the new denominator is not
-    monic.  No product is taken: with f's polynomials stored in table, the
-    result holds them or their stored negations, as combine's results do.
-    """
-    if table is None:
-        table = PolyTable()
-    if op == "-":
-        num, den = table.negation(f.num), f.den
-    elif op == "/":
-        num, den = f.den, f.num
-        if den.terms[0][1] < 0:
-            num, den = table.negation(num), table.negation(den)
-    else:
-        raise ValueError(f"operator {op!r} has no swapped-operand rule")
-    return CanonForm(num, den, f.varset)
 
 
 def is_monic_form(f: CanonForm) -> bool:

@@ -18,6 +18,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -269,9 +270,25 @@ def cmd_verify(args) -> int:
 # -- solve --------------------------------------------------------------------
 
 
+# exponent notation as Fraction reads it: digits, fraction, exponent sign and digits
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)(\d*)(?:\.(\d*))?[eE]([-+]?)(\d+)\s*", re.ASCII)
+
+
 def _rational(text: str, option: str) -> Fraction:
     limit = sys.get_int_max_str_digits()  # int() and str() convert no more digits; 0: none
     too_long = f"{option} value has more than {limit} digits"
+    # Fraction builds 10**E before any check can see it, so the text decides
+    # first: a zero significand is 0, and D * 10**S, D of d digits, has a
+    # numerator of over S digits and a denominator of over -S - d
+    match = _EXPONENT.fullmatch(text)
+    if match and not 0 < limit < max(map(len, match.groups(""))):
+        digits, fraction, sign, exponent = match.groups("")
+        significant = (digits + fraction).lstrip("0")
+        if not significant:
+            return Fraction(0)
+        scale = int(sign + exponent) - len(fraction)
+        if 0 < limit and (scale >= limit or -scale - len(significant) >= limit):
+            raise InputError(too_long)
     try:
         value = Fraction(text)
     except ZeroDivisionError:
@@ -281,7 +298,7 @@ def _rational(text: str, option: str) -> Fraction:
         if 0 < limit < sum(ch.isdigit() for ch in text):
             raise InputError(too_long) from None
         raise InputError(f"{option} value {text.strip()!r} is not a rational number") from None
-    # exponent notation reaches long values from short text: 1e5000 has 5001 digits
+    # what the text left open, such as 99e4299 (4301 digits), is checked whole
     if 0 < limit and max(abs(value.numerator), value.denominator) >= 10 ** limit:
         raise InputError(too_long)
     return value

@@ -25,6 +25,11 @@ from .errors import InputError
 from .projrat import EvalResult, UNDEFINED, ProjValue, p_add, p_div, p_mul, p_sub
 
 
+# deepest nesting parse accepts, of parentheses and of operators on a path of
+# the tree: the parser and the tree walks recurse once per level
+MAX_DEPTH = 200
+
+
 class ExprSyntaxError(InputError):
     """Malformed input; carries the offset and what was expected there."""
 
@@ -74,6 +79,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # parentheses open at pos
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -102,11 +108,15 @@ class _Parser:
     def factor(self) -> ExprTree:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_DEPTH:
+                raise InputError(f"expression nests more than {MAX_DEPTH} parentheses deep")
             self.pos += 1
+            self.depth += 1
             node = self.expr()
             if self.peek() != ")":
                 raise ExprSyntaxError(self.pos, "')'", self.peek())
             self.pos += 1
+            self.depth -= 1
             return node
         if ch == "x":
             return self.variable()
@@ -137,7 +147,7 @@ class _Parser:
 
 
 def parse(text: str) -> ExprTree:
-    """Parse the grammar above, enforcing the single-use rule."""
+    """Parse the grammar above, enforcing the single-use rule and MAX_DEPTH."""
     parser = _Parser(text)
     parser.skip_ws()
     if parser.pos >= len(text):
@@ -154,12 +164,14 @@ def parse(text: str) -> ExprTree:
     return tree
 
 
-def _iter_var_indices(t: ExprTree):
+def _iter_var_indices(t: ExprTree, depth: int = 0):
     if isinstance(t, Var):
         yield t.index
+    elif depth == MAX_DEPTH:  # depth operators above t, and t is one more
+        raise InputError(f"expression nests more than {MAX_DEPTH} operators deep")
     else:
-        yield from _iter_var_indices(t.left)
-        yield from _iter_var_indices(t.right)
+        yield from _iter_var_indices(t.left, depth + 1)
+        yield from _iter_var_indices(t.right, depth + 1)
 
 
 def tree_variables(t: ExprTree) -> frozenset:

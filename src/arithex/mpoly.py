@@ -25,6 +25,7 @@ immutable, so sharing changes no value.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -207,11 +208,12 @@ class PolyTable:
 
     ``polys.get(terms)`` is the stored polynomial with those sorted terms,
     or None; the tuple compares in C, so a lookup runs no Python-level
-    ``__hash__`` or ``__eq__``.  A polynomial stored by ``intern`` holds
-    the table's terms; one built from stored polynomials' terms, as
-    ``canon.combine_pair`` builds its + and - numerators, already does.  A
-    table lives as long as the build that owns it; nothing is shared
-    between builds.
+    ``__hash__`` or ``__eq__``.  ``products[a]`` is the row of a, b -> a*b
+    for each b taken so far, made on first use: a caller that multiplies
+    one polynomial by many fetches its row once.  A polynomial stored by
+    ``intern`` holds the table's terms; one built from stored polynomials'
+    terms, as ``canon.combine_row`` builds its + and - numerators, already
+    does.  A table lives as long as the build that owns it.
     """
 
     __slots__ = ("polys", "terms", "products", "negations")
@@ -219,7 +221,7 @@ class PolyTable:
     def __init__(self):
         self.polys: dict = {}      # term tuple -> the stored polynomial
         self.terms: dict = {}      # (monomial, coefficient) -> the stored term
-        self.products: dict = {}   # (a, b) -> a*b
+        self.products = defaultdict(dict)  # a -> its row: b -> a*b
         self.negations: dict = {}  # p -> -p, both stored
 
     def intern(self, p: MultiPoly) -> MultiPoly:
@@ -234,9 +236,10 @@ class PolyTable:
 
     def product(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         """The stored product of two polynomials on disjoint variables."""
-        ab = self.products.get((a, b))
+        row = self.products[a]
+        ab = row.get(b)
         if ab is None:
-            ab = self.products[a, b] = self.intern(a.mul_disjoint(b))
+            ab = row[b] = self.intern(a.mul_disjoint(b))
         return ab
 
     def negation(self, p: MultiPoly) -> MultiPoly:

@@ -2,19 +2,13 @@
 
 Generates every constructible expression on each subset of {x1..xn} by
 closing the atoms under the four operations with disjoint variable sets,
-deduplicating by canonical form.  Each operand pair is combined once,
-under every operator, by ``canon.combine_pair``.  One polynomial table
-serves the whole build: each product of two operand polynomials is
-computed once, each stored polynomial is negated at most once, and the
-stored forms share one copy of each distinct polynomial, whose terms are
-one copy of each distinct (monomial, coefficient) pair.  The table,
-negations and terms included, is dropped when the build returns.  An
-entry keeps its first decomposition in three slots of its own, with no
-tuple.  The build also classifies by ending operator, firing the ending
-rules as it records each result, and finds and types every isomorphism
-class, as below.  On top of the generated universe it keys the classes
-and cross-checks everything against the recurrence engine and the
-published reference values.
+deduplicating by canonical form.  Each left operand is combined with its
+whole right set, under every operator, by ``canon.combine_row``, through
+one polynomial table for the whole build (see ``canon``) that is dropped
+when the build returns.  The build also classifies by ending operator,
+firing the ending rules as it records each result, and finds and types
+every isomorphism class, as below; ``verify`` checks it all against the
+recurrence engine and the published values.
 
 A build makes no reference cycles, so reference counting alone frees it;
 the CLI relies on that and runs every command with the cyclic garbage
@@ -46,19 +40,18 @@ By induction on the size, a shared class is then exactly an isomorphism
 class.  A form's type asks whether -f is stored and, if so, in f's class;
 negation commutes with relabeling, so isomorphic forms have one type, and
 ``classify_types`` reads it once per class, off one member on {1..k}.
-The - rule reads its operands' types off their classes.  The build leaves
-each class unkeyed and records its size, the number of its members in
-each set of its size.  Keying a class takes its members alone: the key is
-their least serialization (stored forms, whose shared polynomials are
-serialized once), and a set holding fewer members than the size is not
-closed under relabeling and raises.  ``compute_orbits`` groups a level
-by class and keys every class; ``Family.class_key`` groups a set once,
-on first use, and keys one class on its first hit.  Nothing is
-relabeled: ``canon.orbit``, a plain walk over all k! relabelings, serves
-only ``verify``'s class listings at k <= 4 (through ``canon.orbit_key``)
-and the tests' orbit check, which shares no theory with the build.  The
-readers of a level take the ``Orbits`` of ``compute_orbits`` and read
-each class record.
+The - rule reads its operands' types off their classes.  The build records
+each class's size, its members in each set of its size, and keys none.
+Every reader groups a set by class first, which raises if a set holds
+fewer members of a class than its size: the set is not closed under
+relabeling.  A class is keyed, to the least serialization of its members,
+only where a key is read: ``compute_orbits`` keys a level for ``--dump``
+and ``verify``'s class listings, ``Family.class_key`` one class on its
+first hit; ``classify_level`` keys nothing, and the counts, the category
+table and the other checks read no key.  Nothing is relabeled:
+``canon.orbit``, a plain walk over all k! relabelings, serves only those
+listings at k <= 4 and the tests' orbit check, which shares no theory
+with the build.
 """
 
 from __future__ import annotations
@@ -174,7 +167,7 @@ class Family:
         if entry.cls.key is None:
             members = self._members.get(form.varset)
             if members is None:
-                members = self._members[form.varset] = _members(self.sets[form.varset].entries)
+                members = self._members[form.varset] = _grouped(self.sets[form.varset].entries)
             _record_class(members[id(entry.cls)])
         return entry.cls.key
 
@@ -184,14 +177,10 @@ def generate(n: int, ops: str = "+-*/") -> Family:
 
     n must lie in 1..MAX_N.  Subsets are processed by size then
     lexicographically; each unordered bipartition is visited once (the side
-    containing the least element first), with both operand orders for - and
-    /.  Every entry keeps the first (op, left, right) that produced it, its
-    witness.
-
-    Each operand pair is combined once under all the ops, in the order
-    (left side, right side), by ``canon.combine_pair``.  The reversed
-    results of - and /, the negation and the reciprocal of the ones just
-    combined, come from ``canon.swap_operands``.
+    containing the least element first), each left operand against the
+    whole right side by ``canon.combine_row``, with both operand orders for
+    - and /.  Every entry keeps the first (op, left, right) that produced
+    it, its witness.
 
     Each (op, left, right) joins its result's class to the triple of op and
     the operands' classes, final since their sizes are complete (module
@@ -210,8 +199,10 @@ def generate(n: int, ops: str = "+-*/") -> Family:
         raise LimitExceeded(f"n={n} outside 1..{MAX_N}")
     ops_t = _ops_tuple(ops)
     family = Family(n, ops_t)
-    combine_pair, swap_operands = canon.combine_pair, canon.swap_operands
+    combine_row = canon.combine_row
     table = PolyTable()
+    # each pair's results from combine_row: (op, whether reversed)
+    slots = [(op, rev) for op in ops_t for rev in ((False, True) if op in "-/" else (False,))]
     classify = _classifiable(ops_t)
     rules = {op: _END_RULES[op] for op in ops_t} if classify else {}
     ends = (None, *canon.OPS)
@@ -234,33 +225,12 @@ def generate(n: int, ops: str = "+-*/") -> Family:
             level.append(entries)
             first, rest = subset[0], subset[1:]
             for mask in range(2 ** len(rest) - 1):
-                left = frozenset(
-                    (first, *(v for i, v in enumerate(rest) if mask >> i & 1))
-                )
-                right = fs - left
-                left_entries = family.sets[left].entries
-                right_entries = family.sets[right].entries
-                for e1, entry1 in left_entries.items():
-                    c1 = id(entry1.cls)
-                    for e2, entry2 in right_entries.items():
-                        c2 = id(entry2.cls)
-                        fired = swapped = fires[entry1.endop, entry2.endop]
-                        if "-" in fired:
-                            if entry2.cls.typeclass != 1:
-                                fired = fired.replace("-", "")
-                            if entry1.cls.typeclass != 1:
-                                swapped = swapped.replace("-", "")
-                        for op, res in combine_pair(e1, e2, ops_t, fs, table):
-                            if op in "-/":
-                                _record(entries, res, op, e1, e2, op in fired,
-                                        (op, c1, c2), joins, parent)
-                                res = swap_operands(op, res, table)
-                                _record(entries, res, op, e2, e1, op in swapped,
-                                        (op, c2, c1), joins, parent)
-                            else:
-                                _record(entries, res, op, e1, e2, op in fired,
-                                        (op, c1, c2) if c1 <= c2 else (op, c2, c1),
-                                        joins, parent)
+                left = frozenset((first, *(v for i, v in enumerate(rest) if mask >> i & 1)))
+                right_entries = family.sets[fs - left].entries
+                for entry1 in family.sets[left].entries.values():
+                    rows = combine_row(entry1.form, right_entries, ops_t, fs, table)
+                    _record_row(entries, entry1, right_entries.values(), rows, slots,
+                                fires, joins, parent)
             if classify:
                 classify_endops(entries)
         # each root of this size's union-find becomes one class; relabeling
@@ -280,28 +250,44 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     return family
 
 
-def _record(entries: dict, form: CanonForm, op: str, left, right, fires: bool,
-            triple: tuple, joins: dict, parent: list) -> None:
-    """Store form = left op right, with that as its witness if it is new;
-    if the rule of op fires, add op to the rules fired so far.  Join the
-    form's class node to the node of triple, its op and operand classes."""
-    entry = entries.get(form)
-    node = joins.get(triple)
-    if entry is None:
-        if node is None:
-            node = joins[triple] = len(parent)
-            parent.append(node)
-        entries[form] = AEntry(form, op, left, right, op if fires else None, node)
-        return
-    if fires and op not in (entry.endop or ""):
-        entry.endop = (entry.endop or "") + op
-    if node is None:
-        joins[triple] = entry.cls
-    elif parent[node] != parent[entry.cls]:  # equal parents: one set already
-        a, b = _find(parent, node), _find(parent, entry.cls)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-        entry.cls = min(a, b)
+def _record_row(entries: dict, entry1: AEntry, right_entries, rows, slots: list,
+                fires: dict, joins: dict, parent: list) -> None:
+    """Record the rows of one left entry against a right set, each pair's
+    results in slots order, (op, whether reversed): store each new result
+    with its (op, left, right) witness, add op to the rules fired if it
+    fires, and join the result's class node to its triple's."""
+    e1, c1 = entry1.form, id(entry1.cls)
+    for entry2, results in zip(right_entries, rows):
+        e2, c2 = entry2.form, id(entry2.cls)
+        fired = swapped = fires[entry1.endop, entry2.endop]
+        if "-" in fired:
+            if entry2.cls.typeclass != 1:
+                fired = fired.replace("-", "")
+            if entry1.cls.typeclass != 1:
+                swapped = swapped.replace("-", "")
+        for (op, rev), form in zip(slots, results):
+            if rev:
+                left, right, fire, triple = e2, e1, op in swapped, (op, c2, c1)
+            else:
+                left, right, fire = e1, e2, op in fired
+                triple = (op, c1, c2) if c1 <= c2 or op in "-/" else (op, c2, c1)
+            entry = entries.get(form)
+            node = joins.get(triple)
+            if entry is None:
+                if node is None:
+                    node = joins[triple] = len(parent)
+                    parent.append(node)
+                entries[form] = AEntry(form, op, left, right, op if fire else None, node)
+                continue
+            if fire and op not in (entry.endop or ""):
+                entry.endop = (entry.endop or "") + op
+            if node is None:
+                joins[triple] = entry.cls
+            elif parent[node] != parent[entry.cls]:  # equal parents: one set already
+                a, b = _find(parent, node), _find(parent, entry.cls)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+                entry.cls = min(a, b)
 
 
 def _find(parent: list, node: int) -> int:
@@ -325,17 +311,18 @@ def _ops_tuple(ops: str) -> tuple:
 @dataclass
 class OrbitClass:
     """An isomorphism class of one size of a build, shared by its entries.
-    The build sets its size and typeclass, keying its key and rep."""
+    The build sets its size and typeclass, grouping its rep, keying its
+    key and the rep realizing it."""
 
     key: Optional[str] = None        # least serialization over the class = the orbit key
-    rep: Optional[CanonForm] = None  # form realizing the key
+    rep: Optional[CanonForm] = None  # a member: the first grouped, once keyed the key's
     size: int = 0                    # identity-distinct members in each set of its size
     typeclass: Optional[int] = None  # the type of every member: 1, 2 or 3
 
 
 class Orbits:
-    """A classified level: its classes, sorted by key, and its entries
-    (CanonForm -> AEntry), each carrying its class record as entry.cls."""
+    """A classified level: its classes, sorted by key if keyed, and its
+    entries (CanonForm -> AEntry), each carrying its class as entry.cls."""
 
     def __init__(self, classes: list, entries: dict):
         self.classes = classes
@@ -349,33 +336,42 @@ class Orbits:
         return self.entries[form].cls.rep
 
 
-def _members(entries: dict) -> dict:
-    """The entries of a set by class: id of the class -> its entries."""
+def _grouped(entries: dict) -> dict:
+    """A set's entries by class, id of the class -> its members, in order
+    of first member, which is the rep of a class not yet keyed.  A set that
+    lacks members the build counted is not closed under relabeling: raise."""
     members: dict = {}
     for entry in entries.values():
         members.setdefault(id(entry.cls), []).append(entry)
+    for group in members.values():
+        cls = group[0].cls
+        if len(group) != cls.size:
+            raise RuntimeError(
+                f"set not closed under relabeling: {len(group)} of the "
+                f"{cls.size} members of a class are stored")
+        if cls.rep is None:
+            cls.rep = group[0].form
     return members
 
 
 def _record_class(members: list) -> OrbitClass:
-    """Key the class its member entries share: its least serialization.
-    A set that lacks some of the members the build counted is not closed
-    under relabeling, and raises."""
+    """Key the class its member entries share: its least serialization."""
     cls = members[0].cls
-    if len(members) != cls.size:
-        raise RuntimeError(
-            f"set not closed under relabeling: {len(members)} of the "
-            f"{cls.size} members of a class are stored")
     # stored instances, whose shared polynomials cache their text
     rep = min((m.form for m in members), key=canon.form_str)
     cls.key, cls.rep = canon.form_str(rep), rep
     return cls
 
 
+def classify_level(aeset: AESet) -> Orbits:
+    """The classes of a generated set, typed by the build and not keyed."""
+    return Orbits([group[0].cls for group in _grouped(aeset.entries).values()], aeset.entries)
+
+
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
-    """Isomorphism classes of a generated set on {1..n}, each keyed
-    afresh; the build has typed them."""
-    classes = [_record_class(group) for group in _members(aeset.entries).values()]
+    """The classes of a generated set on {1..n}, each keyed afresh, sorted
+    by key."""
+    classes = [_record_class(group) for group in _grouped(aeset.entries).values()]
     classes.sort(key=lambda c: c.key)
     return Orbits(classes, aeset.entries)
 
@@ -460,9 +456,9 @@ def summarize(n: int, ops: str = "+-*/", dump=None) -> tuple:
     check_classifiable(ops)
     family = generate(n, ops=ops)
     aeset = family.full_set()
-    orbits = compute_orbits(aeset, n)
+    orbits = classify_level(aeset)
     if dump is not None:
-        for record in dump_lines(family, orbits):
+        for record in dump_lines(family, compute_orbits(aeset, n)):
             dump.write(json.dumps(record) + "\n")
     return "".join(family.ops), len(aeset.entries), len(orbits), category_table(orbits)
 
@@ -516,7 +512,7 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
 
     for k in range(1, n_max + 1):
         aeset = family.full_set(k)
-        orbits = compute_orbits(aeset, k)
+        orbits = classify_level(aeset)
         cells = category_table(orbits)
 
         if all_ops:
@@ -563,10 +559,10 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
         if all_ops and k == 3:
             report.add("three-var-identity-listing", k, _check_three_var_listing(aeset.entries))
             report.add("three-var-class-listing", k, _check_class_listing(
-                orbits, reference.THREE_VAR_CLASSES))
+                aeset, reference.THREE_VAR_CLASSES))
         if sp_ops and k == 4:
             report.add("series-parallel-four-var-classes", k, _check_class_listing(
-                orbits, reference.SERIES_PARALLEL_FOUR_VAR_CLASSES))
+                aeset, reference.SERIES_PARALLEL_FOUR_VAR_CLASSES))
 
     report.add(
         "class-operation-compatibility",
@@ -614,9 +610,9 @@ def _check_three_var_listing(entries: dict) -> bool:
     return len(expected) == 68 and expected == set(entries)
 
 
-def _check_class_listing(orbits: Orbits, listed: list) -> bool:
+def _check_class_listing(aeset: AESet, listed: list) -> bool:
     expected = {canon.orbit_key(to_canon(parse(t))) for t in listed}
-    return expected == {c.key for c in orbits.classes}
+    return expected == {c.key for c in compute_orbits(aeset, len(aeset.subset)).classes}
 
 
 def _check_class_operations(family: Family, rng: random.Random) -> bool:

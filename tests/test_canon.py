@@ -15,7 +15,7 @@ from arithex.canon import (
     assign_zero,
     atom,
     combine,
-    combine_pair,
+    combine_row,
     eval_form,
     form_str,
     is_isomorphic,
@@ -25,7 +25,6 @@ from arithex.canon import (
     orbit_key,
     reduce_quotient,
     relabel_contiguous,
-    swap_operands,
 )
 from arithex.exprtree import parse, to_canon
 from arithex.mpoly import ONE, ZERO, MultiPoly, PolyTable
@@ -92,17 +91,18 @@ def test_negate():
 )
 @pytest.mark.parametrize("op", ["-", "/"])
 def test_swap_operands_matches_reversed_combine(op, f, g):
-    # the reversed result is derived without a product, and keeps the
-    # denominator monic: (x3-x1) / x2 swaps to -x2 over x1-x3
+    # combine_row gives g op f right after f op g, derived without a
+    # product, with a monic denominator: (x3-x1) / x2 swaps to -x2 over x1-x3
     f, g = form(f), form(g)
-    swapped = swap_operands(op, combine(op, f, g))
+    forward, swapped = next(combine_row(f, [g], (op,)))
     expected = combine(op, g, f)
+    assert forward == combine(op, f, g)
     assert swapped == expected and swapped.varset == expected.varset
     assert swapped.den.is_monic()
     # through one build table, the swapped form holds the table's copies
     table = PolyTable()
     f, g = (CanonForm(table.intern(h.num), table.intern(h.den), h.varset) for h in (f, g))
-    swapped = swap_operands(op, combine(op, f, g, table=table), table)
+    _, swapped = next(combine_row(f, [g], (op,), table=table))
     assert swapped == expected and swapped.varset == expected.varset
     assert swapped.num is table.intern(swapped.num)
     assert swapped.den is table.intern(swapped.den)
@@ -113,13 +113,13 @@ def test_combine_pair_finds_stored_numerators_by_their_terms():
     x = {i: atom(i, table) for i in range(1, 5)}
     f = combine("-", x[1], x[2], table=table)  # x1 - x2
     g = combine("/", x[3], x[4], table=table)  # x3 / x4
-    first = combine_pair(f, g, OPS, table=table)
+    first = next(combine_row(f, [g], OPS, table=table))
     stored = dict(table.polys)
-    again = combine_pair(f, g, OPS, table=table)
+    again = next(combine_row(f, [g], OPS, table=table))
     # the second pass stores nothing new and returns the stored objects
     assert table.polys == stored
-    for (op, res), (op_again, res_again) in zip(first, again):
-        assert op == op_again and res_again.num is res.num and res_again.den is res.den
+    for res, res_again in zip(first, again, strict=True):
+        assert res_again.num is res.num and res_again.den is res.den
         assert table.polys[res.num.terms] is res.num
         assert table.polys[res.den.terms] is res.den
     # another pair reaching the same + numerator holds the stored object
@@ -148,9 +148,15 @@ def test_form_equality_is_by_value():
     assert h == f and f == h and hash(h) == hash(f)
 
 
-def test_swap_operands_rejects_symmetric_ops():
-    with pytest.raises(ValueError):
-        swap_operands("+", form("x1+x2"))
+def test_combine_row_reverses_only_minus_and_divide():
+    # + and * commute: each gives one result per pair, - and / two
+    f, gs = form("x1-x2"), [form("x3"), form("x3/x4"), form("x4+x3*x5")]
+    rows = list(combine_row(f, gs, OPS))
+    assert [len(results) for results in rows] == [6, 6, 6]
+    for g, results in zip(gs, rows):
+        assert results == [combine("+", f, g), combine("-", f, g), combine("-", g, f),
+                           combine("*", f, g), combine("/", f, g), combine("/", g, f)]
+    assert list(combine_row(f, gs, ("*", "+"))) == [[combine("*", f, g), combine("+", f, g)] for g in gs]
 
 
 def test_is_monic_form_examples():

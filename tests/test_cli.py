@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import arithex
 from arithex import InputError, canon, cli, mpoly, oracle, reference, solver
 from arithex.cli import main
 from arithex.counting import BREAKDOWN_MAX_N, COUNT_MAX_N, class_counts
-from arithex.exprtree import DuplicateVariable, ExprSyntaxError, parse, to_canon
+from arithex.exprtree import MAX_DEPTH, DuplicateVariable, ExprSyntaxError, parse, to_canon
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -330,6 +331,66 @@ def test_over_long_numbers_name_the_digit_limit(argv):
     assert f" {sys.get_int_max_str_digits()} " in lines[0] and len(lines[0]) < 200, lines
 
 
+def _fraction_of_no_exponent(value, *args):
+    # Fraction, for any text but one in exponent notation, for which it
+    # would build 10**E first: seconds to minutes for the ones below
+    assert not (isinstance(value, str) and "e" in value.lower()), value
+    return Fraction(value, *args)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() has no digit limit here")
+@pytest.mark.parametrize("number", ["1e10000000", "-1.5E+100000000", "1e-10000000", "0.001e-99999999"])
+def test_huge_exponents_are_refused_from_the_text(number, monkeypatch):
+    # the text alone shows the value over-long, so it is refused at once
+    monkeypatch.setattr(cli, "Fraction", _fraction_of_no_exponent)
+    with redirect_stderr(io.StringIO()) as err:
+        code, out = run_cli("solve", "--numbers", f"{number},1", "--target", "1")
+    assert code == 2 and out == ""
+    lines = err.getvalue().splitlines()
+    assert lines == [f"error: --numbers value has more than {sys.get_int_max_str_digits()} digits"]
+
+
+@pytest.mark.parametrize("zero", ["0e10000000", "-0.000E-99999999999", ".0e+10000000"])
+def test_zero_with_a_huge_exponent_solves_as_zero(zero, monkeypatch):
+    expected = run_cli("solve", "--numbers", "0,1,2", "--target", "2", "--json")
+    monkeypatch.setattr(cli, "Fraction", _fraction_of_no_exponent)
+    assert run_cli("solve", "--numbers", f"{zero},1,2", "--target", "2", "--json") == expected
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(" * 400 + "x1" + ")" * 400,
+        "-".join(f"x{i}" for i in range(1, 991)),
+    ],
+    ids=["400-nested-parentheses", "990-variable-chain"],
+)
+def test_deep_expressions_are_input_errors(expr):
+    # the parser and the walks over a tree recurse once per level: beyond
+    # MAX_DEPTH the expression is refused, not a RecursionError
+    with redirect_stderr(io.StringIO()) as err:
+        code, out = run_cli("classify", "--expr", expr)
+    assert code == 2 and out == ""
+    lines = err.getvalue().splitlines()
+    assert lines == [lines[0]] and lines[0].startswith("error: expression nests more than 200 ")
+
+
+def test_nesting_up_to_max_depth_is_accepted():
+    # MAX_DEPTH parentheses, and MAX_DEPTH operators on one path, one on
+    # the left and one on the right of each node
+    assert MAX_DEPTH == 200
+    parens = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+    assert run_cli("classify", "--expr", parens)[0] == 0
+    chain = "-".join(f"x{i}" for i in range(1, MAX_DEPTH + 2))
+    nested = "x1" + "".join(f"/(x{i}" for i in range(2, MAX_DEPTH + 2)) + ")" * MAX_DEPTH
+    for text in (chain, nested):
+        code, out = run_cli("classify", "--expr", text, "--against", text)
+        assert code == 0 and out.endswith("isomorphic to --against: yes\n")
+    for text in ("(" + parens + ")", chain + "-x999", nested.replace("x1/", "x999/(x1/") + ")"):
+        with pytest.raises(InputError, match=f"nests more than {MAX_DEPTH} "):
+            parse(text)
+
+
 def test_input_error_classes():
     for cls in (
         oracle.LimitExceeded,
@@ -356,7 +417,7 @@ def test_internal_failure_is_not_a_usage_error(exc, monkeypatch):
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(oracle, "compute_orbits", broken)
+    monkeypatch.setattr(oracle, "classify_level", broken)
     with pytest.raises(type(exc)):
         main(["oracle", "--n", "2"])
 

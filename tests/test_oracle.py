@@ -1,4 +1,5 @@
 import gc
+import io
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 import prop_suites
 from arithex import canon, oracle, reference, solver
 from arithex.exprtree import parse, pretty, to_canon
-from arithex.mpoly import PolyTable
+from arithex.mpoly import MultiPoly, PolyTable
 from arithex.oracle import (
     AESet,
     LimitExceeded,
@@ -151,8 +152,9 @@ def _cross_multiplied(op, f, g):
 
 @pytest.mark.parametrize("ops", FRAGMENTS)
 def test_combine_pair_matches_combine(family4, ops):
-    # random operand pairs on disjoint subsets; the results come in the
-    # order of ops, given as generate gives it and reversed
+    # random left forms against random right sets on disjoint subsets; each
+    # pair's results come in the order of ops, given as generate gives it
+    # and reversed, each - and / result followed by its reversed one
     rng = random.Random(ops)
     subsets = [s for s in family4.sets if len(s) < 4]
     table = PolyTable()
@@ -160,20 +162,63 @@ def test_combine_pair_matches_combine(family4, ops):
         left = rng.choice(subsets)
         right = rng.choice([s for s in subsets if not s & left])
         f = rng.choice(list(family4.sets[left].entries))
-        g = rng.choice(list(family4.sets[right].entries))
+        pool = list(family4.sets[right].entries)
+        gs = rng.sample(pool, min(3, len(pool)))
         order = tuple(ops) if i % 2 else tuple(reversed(ops))
-        results = canon.combine_pair(f, g, order, table=table)
-        assert [op for op, _ in results] == list(order)
-        for op, res in results:
-            assert res == canon.combine(op, f, g) == _cross_multiplied(op, f, g)
-            assert res.varset == left | right
+        rows = list(canon.combine_row(f, gs, order, table=table))
+        assert len(rows) == len(gs)
+        for g, results in zip(gs, rows):
+            expected = [(op, a, b) for op in order for a, b in ((f, g), (g, f))[:1 + (op in "-/")]]
+            assert len(results) == len(expected)
+            for res, (op, a, b) in zip(results, expected):
+                assert res == canon.combine(op, a, b) == _cross_multiplied(op, a, b)
+                assert res.varset == left | right
 
 
 def test_combine_pair_rejects_what_combine_rejects():
     with pytest.raises(canon.OverlappingVariables):
-        canon.combine_pair(canon.atom(1), canon.atom(1), ("+", "*"))
+        list(canon.combine_row(canon.atom(1), [canon.atom(2), canon.atom(1)], ("+", "*")))
     with pytest.raises(ValueError, match="unknown operator '\\^'"):
         canon.combine("^", canon.atom(1), canon.atom(2))
+
+
+@pytest.mark.parametrize("ops", CLASSIFIABLE)
+def test_reversed_results_match_reversed_combine(family4, ops):
+    # every operand pair the n = 4 build combines: after f - g and f / g
+    # comes g - f and g / f, as combine gives them
+    table = PolyTable()
+    slots = [op for op in ops for _ in range(1 + (op in "-/"))]
+    for size in range(2, 5):
+        for subset in combinations(range(1, 5), size):
+            fs = frozenset(subset)
+            first, rest = subset[0], subset[1:]
+            for mask in range(2 ** len(rest) - 1):
+                left = frozenset((first, *(v for i, v in enumerate(rest) if mask >> i & 1)))
+                gs = list(family4.sets[fs - left].entries)
+                for f in family4.sets[left].entries:
+                    for g, results in zip(gs, canon.combine_row(f, gs, tuple(ops), fs, table)):
+                        by_op = {op: [] for op in ops}
+                        for op, res in zip(slots, results, strict=True):
+                            by_op[op].append(res)
+                        for op in set(ops) & set("-/"):
+                            assert by_op[op] == [canon.combine(op, f, g), canon.combine(op, g, f)]
+
+
+def test_each_product_is_computed_once_per_build(monkeypatch):
+    # the table keeps a row of products per left polynomial: no operand
+    # pair of polynomials is multiplied twice in one build
+    calls = []
+    mul = MultiPoly.mul_disjoint
+
+    def counted(a, b):
+        calls.append((a.terms, b.terms))
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "mul_disjoint", counted)
+    for n, ops in ((5, "+-*/"), (4, "+*"), (4, "-/")):
+        calls.clear()
+        generate(n, ops)
+        assert calls and len(calls) == len(set(calls)), (n, ops)
 
 
 def test_equal_forms_hash_alike_however_built(family4):
@@ -681,6 +726,43 @@ def test_dump_lines(family4):
         assert rec["type"] in (1, 2, 3)
         assert to_canon(parse(rec["witness"])) in aeset.entries
     assert sum(rec["orbit_size"] for rec in lines) == 68
+
+
+def test_classes_are_keyed_only_where_a_key_is_read(monkeypatch):
+    # summarize keys the level only for its dump, with the same counts and
+    # table; verify keys only the level its class listing compares
+    keyed = []
+    record_class = oracle._record_class
+
+    def counted(members):
+        keyed.append(len(members[0].form.varset))
+        return record_class(members)
+
+    monkeypatch.setattr(oracle, "_record_class", counted)
+    plain = oracle.summarize(5)
+    assert keyed == []
+    dump = io.StringIO()
+    assert oracle.summarize(5, dump=dump) == plain
+    assert len(keyed) == plain[2] == len(dump.getvalue().splitlines()) == 500
+    keyed.clear()
+    assert verify(5).ok
+    assert keyed == [3] * 18
+    keyed.clear()
+    assert verify(4, "+*").ok
+    assert keyed == [4] * len(reference.SERIES_PARALLEL_FOUR_VAR_CLASSES)
+
+
+def test_unkeyed_classification_requires_closure():
+    # classify_level checks closure as compute_orbits does, keying nothing;
+    # each class holds a member as its rep
+    aeset = generate(4).full_set(4)
+    orbits = oracle.classify_level(aeset)
+    assert len(orbits) == 93
+    assert all(c.key is None and aeset.entries[c.rep].cls is c for c in orbits.classes)
+    entries = dict(aeset.entries)
+    del entries[next(f for f, e in entries.items() if e.cls.size > 1)]
+    with pytest.raises(RuntimeError, match="not closed under relabeling"):
+        oracle.classify_level(AESet(aeset.subset, entries))
 
 
 def test_witness_reconstruction(family4):
