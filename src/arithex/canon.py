@@ -55,10 +55,12 @@ new: each is sorted from stored terms, looked up by them and built only
 if it is not stored (at n = 5, 21 984 of the 24 040 are).  A build that
 passes one table thus computes each product once, negates each
 polynomial once and keeps one copy of each polynomial and of each term.
-``combine`` is the one-pair call.  A form hashes its polynomials' cached
-hashes, so hashing a form reads no term, and two forms holding the same
-polynomial objects, as equal forms of one build do, compare equal
-without reading a term.
+``combine`` is the one-pair call.  ``combine_row`` builds its results as
+the class it is given, ``CanonForm`` by default; the build passes its
+record class, a subclass, so each stored form is its own record.  A form
+hashes its polynomials' cached hashes, so hashing a form reads no term,
+and two forms holding the same polynomial objects, as equal forms of one
+build do, compare equal without reading a term.
 
 An orbit walks all n! relabelings of {1..n}, each through ``apply_perm``;
 every caller in the package takes orbits of forms on at most 4 variables
@@ -151,7 +153,7 @@ def _normalized(num: MultiPoly, den: MultiPoly) -> CanonForm:
 
 
 def combine_row(f: CanonForm, gs, ops: tuple, varset: Optional[frozenset] = None,
-                table: Optional[PolyTable] = None) -> Iterator[list]:
+                table: Optional[PolyTable] = None, result: type = CanonForm) -> Iterator[list]:
     """For each form g of gs in turn, on variables disjoint from f's (their
     union is varset, unchecked if given), f op g for each op of ops, a
     tuple of distinct operators of + - * /, with g - f right after f - g
@@ -163,6 +165,8 @@ def combine_row(f: CanonForm, gs, ops: tuple, varset: Optional[frozenset] = None
     numerator of f - g, and g / f is (F2*G1)/(F1*G2).  Only ``/`` flips
     both signs, when its denominator is not monic (module docstring).  The
     results hold table's polynomials; a one-off call gets a fresh table.
+    Each result is built as result(num, den, varset), a ``CanonForm`` or a
+    subclass with the same constructor, such as the build's records.
     """
     if table is None:
         table = PolyTable()
@@ -203,12 +207,12 @@ def combine_row(f: CanonForm, gs, ops: tuple, varset: Optional[frozenset] = None
                     num = polys[terms] = MultiPoly(terms)
             if not num.terms:
                 raise NonAEResult(f"vanishing numerator combining {f!r} {op} {g!r}")
-            results.append(CanonForm(num, den, vs))
+            results.append(result(num, den, vs))
             if op == "-":
-                results.append(CanonForm(negation(num), den, vs))
+                results.append(result(negation(num), den, vs))
             elif op == "/":
-                results.append(CanonForm(f2g1, f1g2, vs) if f1g2.terms[0][1] > 0 else
-                               CanonForm(negation(f2g1), negation(f1g2), vs))
+                results.append(result(f2g1, f1g2, vs) if f1g2.terms[0][1] > 0 else
+                               result(negation(f2g1), negation(f1g2), vs))
         yield results
 
 

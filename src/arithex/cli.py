@@ -335,7 +335,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    # both parse, within the bounds, before either expands
     tree = parse_expr(args.expr)
+    other = None if args.against is None else parse_expr(args.against)
     form = to_canon(tree)
     relabeled = False
     work = form
@@ -348,9 +350,8 @@ def cmd_classify(args) -> int:
         entry = oracle.generate(n).entry_of(work)
         endop, typeclass = entry.endop, entry.cls.typeclass
     iso = None
-    if args.against is not None:
-        other = to_canon(parse_expr(args.against))
-        other_work = canon.relabel_contiguous(other)
+    if other is not None:
+        other_work = canon.relabel_contiguous(to_canon(other))
         iso = canon.is_isomorphic(work, other_work) is not None
     if args.json:
         payload = {

@@ -29,6 +29,11 @@ from .projrat import EvalResult, UNDEFINED, ProjValue, p_add, p_div, p_mul, p_su
 # the tree: the parser and the tree walks recurse once per level
 MAX_DEPTH = 200
 
+# most terms parse accepts in the numerator or the denominator of the
+# canonical form: a product of k two-variable sums has 2^k, and k = 17
+# takes about a second to expand
+MAX_TERMS = 2 ** 17
+
 
 class ExprSyntaxError(InputError):
     """Malformed input; carries the offset and what was expected there."""
@@ -147,7 +152,8 @@ class _Parser:
 
 
 def parse(text: str) -> ExprTree:
-    """Parse the grammar above, enforcing the single-use rule and MAX_DEPTH."""
+    """Parse the grammar above, enforcing the single-use rule, MAX_DEPTH and
+    MAX_TERMS."""
     parser = _Parser(text)
     parser.skip_ws()
     if parser.pos >= len(text):
@@ -161,6 +167,7 @@ def parse(text: str) -> ExprTree:
         if idx in seen:
             raise DuplicateVariable(idx)
         seen.add(idx)
+    term_counts(tree)
     return tree
 
 
@@ -172,6 +179,27 @@ def _iter_var_indices(t: ExprTree, depth: int = 0):
     else:
         yield from _iter_var_indices(t.left, depth + 1)
         yield from _iter_var_indices(t.right, depth + 1)
+
+
+def term_counts(t: ExprTree) -> tuple:
+    """The term counts (numerator, denominator) of ``to_canon(t)``, from the
+    tree alone: no two monomials merge when forms combine (``canon``), so
+    + and - give (n1*d2 + n2*d1, d1*d2), * gives (n1*n2, d1*d2) and / gives
+    (n1*d2, d1*n2).  No count is below an operand's, so a count above
+    MAX_TERMS anywhere is an input error, raised where it is found."""
+    if isinstance(t, Var):
+        return 1, 1
+    n1, d1 = term_counts(t.left)
+    n2, d2 = term_counts(t.right)
+    if t.op == "*":
+        counts = n1 * n2, d1 * d2
+    elif t.op == "/":
+        counts = n1 * d2, d1 * n2
+    else:
+        counts = n1 * d2 + n2 * d1, d1 * d2
+    if max(counts) > MAX_TERMS:
+        raise InputError(f"expression expands to more than {MAX_TERMS} terms")
+    return counts
 
 
 def tree_variables(t: ExprTree) -> frozenset:

@@ -5,10 +5,12 @@ closing the atoms under the four operations with disjoint variable sets,
 deduplicating by canonical form.  Each left operand is combined with its
 whole right set, under every operator, by ``canon.combine_row``, through
 one polynomial table for the whole build (see ``canon``) that is dropped
-when the build returns.  The build also classifies by ending operator,
-firing the ending rules as it records each result, and finds and types
-every isomorphism class, as below; ``verify`` checks it all against the
-recurrence engine and the published values.
+when the build returns.  Each stored form is its own record, an
+``AEntry`` that ``combine_row`` built, whose operands are records.  The
+build also classifies by ending operator, firing the ending rules as it
+records each result, and finds and types every isomorphism class, as
+below; ``verify`` checks it all against the recurrence engine and the
+published values.
 
 A build makes no reference cycles, so reference counting alone frees it;
 the CLI relies on that and runs every command with the cyclic garbage
@@ -24,7 +26,8 @@ bipartitions the build visits once, and ordered for - and /, the swapped
 records included.  The atoms share one class.  A union-find per size
 merges the triples that reach one form, and its nodes are resolved to
 classes when the size is complete, so operands always carry their final
-class.  This is exact:
+class; one lookup per operand pair finds the nodes of all its triples.
+This is exact:
 
 * Forms that share a triple are isomorphic.  L op R and L' op R' with
   L ~ L' and R ~ R' put each operand on a complementary variable set, so
@@ -100,34 +103,29 @@ class ClassificationAmbiguous(RuntimeError):
     """More than one ending-operator rule fired for a generated expression."""
 
 
-class AEntry:
-    """A generated expression: canonical form plus the first way it arose,
-    form = left op right, held in three slots with no tuple; an atom has op,
+class AEntry(CanonForm):
+    """A stored form, its own record: ``canon.combine_row`` builds the
+    build's results as records, and a new one is recorded by setting these
+    slots on it.  It keeps the first way it arose, form = left op right,
+    with left and right the stored records of their sets; an atom has op,
     left and right None.  While its set is built, endop holds the ending
     rules fired so far, and until its size is complete, cls holds a node of
     that size's union-find.  Its type is its class's, ``cls.typeclass``."""
 
-    __slots__ = ("form", "op", "left", "right", "endop", "cls", "_witness")
-
-    def __init__(self, form: CanonForm, op: Optional[str], left: Optional[CanonForm],
-                 right: Optional[CanonForm], endop: Optional[str], cls):
-        self.form = form
-        self.op = op
-        self.left = left
-        self.right = right
-        self.endop = endop
-        self.cls = cls  # its OrbitClass, shared by exactly the isomorphic entries of a size
-        self._witness = None
+    __slots__ = ("op", "left", "right", "endop", "cls", "_witness")
 
 
 @dataclass
 class AESet:
+    """The stored forms of one subset, each mapped to itself, its record."""
+
     subset: tuple
-    entries: dict  # CanonForm -> AEntry
+    entries: dict  # each stored form, an AEntry -> itself
 
 
 class Family:
-    """Generated sets for every nonempty subset of {1..n}.
+    """Generated sets for every nonempty subset of {1..n}, whose records
+    link to their operands' records.
 
     What solving against the family needs and no puzzle changes is kept on
     it, filled on first use: witness trees, classes, and the solver's
@@ -149,8 +147,9 @@ class Family:
         return self.sets[form.varset].entries[form]
 
     def witness(self, form: CanonForm):
-        """Expression tree of the first recorded construction."""
-        entry = self.entry_of(form)
+        """Expression tree of the first recorded construction of a stored
+        form, given as its record or as an equal form."""
+        entry = form if type(form) is AEntry else self.entry_of(form)
         if entry._witness is None:
             if entry.op is None:
                 entry._witness = Var(next(iter(form.varset)))
@@ -201,17 +200,22 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     family = Family(n, ops_t)
     combine_row = canon.combine_row
     table = PolyTable()
-    # each pair's results from combine_row: (op, whether reversed)
+    # each pair's results from combine_row: (op, whether reversed); slot i
+    # of a pair shares its triple with slot swap[i] of the swapped pair
     slots = [(op, rev) for op in ops_t for rev in ((False, True) if op in "-/" else (False,))]
+    swap = [slots.index((op, not rev)) if op in "-/" else i for i, (op, rev) in enumerate(slots)]
     classify = _classifiable(ops_t)
     rules = {op: _END_RULES[op] for op in ops_t} if classify else {}
-    ends = (None, *canon.OPS)
-    # fires[a, b]: the ops whose rule accepts operands ending with a and b
-    fires = {(a, b): "".join(op for op, ok in rules.items() if a in ok and b in ok)
-             for a in ends for b in ends}
+    # fires[a, s, b, t]: per slot, op if its rule fires for operands ending
+    # with a and b, of first type iff s and t (- needs its right one so)
+    ends, bools = (None, *canon.OPS), (False, True)
+    fires = {(a, s, b, t): tuple(op if a in rules.get(op, ()) and b in rules[op]
+                                 and (op != "-" or (s if rev else t)) else None
+                                 for op, rev in slots)
+             for a in ends for b in ends for s in bools for t in bools}
     atoms = OrbitClass(size=1, typeclass=1)  # the class of every atom
     for size in range(1, n + 1):
-        joins: dict = {}  # (op, id of left class, id of right class) -> a node of parent
+        joins: dict = {}  # (id of left class, id of right class) -> nodes by slot
         parent: list = []  # this size's union-find: node -> parent node
         level: list = []  # the entries of this size's sets
         for subset in combinations(range(1, n + 1), size):
@@ -220,16 +224,19 @@ def generate(n: int, ops: str = "+-*/") -> Family:
             family.sets[fs] = AESet(subset, entries)
             if size == 1:
                 a = canon.atom(subset[0], table)
-                entries[a] = AEntry(a, None, None, None, "*" if classify else None, atoms)
+                entry = AEntry(a.num, a.den, a.varset)
+                entry.op = entry.left = entry.right = entry._witness = None
+                entry.endop, entry.cls = "*" if classify else None, atoms
+                entries[entry] = entry
                 continue
             level.append(entries)
             first, rest = subset[0], subset[1:]
             for mask in range(2 ** len(rest) - 1):
                 left = frozenset((first, *(v for i, v in enumerate(rest) if mask >> i & 1)))
                 right_entries = family.sets[fs - left].entries
-                for entry1 in family.sets[left].entries.values():
-                    rows = combine_row(entry1.form, right_entries, ops_t, fs, table)
-                    _record_row(entries, entry1, right_entries.values(), rows, slots,
+                for entry1 in family.sets[left].entries:
+                    rows = combine_row(entry1, right_entries, ops_t, fs, table, AEntry)
+                    _record_row(entries, entry1, right_entries, rows, slots, swap,
                                 fires, joins, parent)
             if classify:
                 classify_endops(entries)
@@ -240,7 +247,7 @@ def generate(n: int, ops: str = "+-*/") -> Family:
         classes = {root: OrbitClass() for root in set(roots)}
         final = [classes[root] for root in roots]
         for entries in level:
-            for entry in entries.values():
+            for entry in entries:
                 entry.cls = cls = final[entry.cls]
                 cls.size += 1
         for cls in classes.values():
@@ -250,44 +257,53 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     return family
 
 
-def _record_row(entries: dict, entry1: AEntry, right_entries, rows, slots: list,
+def _record_row(entries: dict, entry1: AEntry, right_entries, rows, slots: list, swap: list,
                 fires: dict, joins: dict, parent: list) -> None:
     """Record the rows of one left entry against a right set, each pair's
     results in slots order, (op, whether reversed): store each new result
-    with its (op, left, right) witness, add op to the rules fired if it
-    fires, and join the result's class node to its triple's."""
-    e1, c1 = entry1.form, id(entry1.cls)
+    as itself with its (op, left, right) witness, add op to the rules fired
+    if it fires, and join the result's class node to its triple's."""
+    cls1 = entry1.cls
+    c1, e1, t1 = id(cls1), entry1.endop, cls1.typeclass == 1
     for entry2, results in zip(right_entries, rows):
-        e2, c2 = entry2.form, id(entry2.cls)
-        fired = swapped = fires[entry1.endop, entry2.endop]
-        if "-" in fired:
-            if entry2.cls.typeclass != 1:
-                fired = fired.replace("-", "")
-            if entry1.cls.typeclass != 1:
-                swapped = swapped.replace("-", "")
-        for (op, rev), form in zip(slots, results):
-            if rev:
-                left, right, fire, triple = e2, e1, op in swapped, (op, c2, c1)
-            else:
-                left, right, fire = e1, e2, op in fired
-                triple = (op, c1, c2) if c1 <= c2 or op in "-/" else (op, c2, c1)
-            entry = entries.get(form)
-            node = joins.get(triple)
-            if entry is None:
-                if node is None:
-                    node = joins[triple] = len(parent)
-                    parent.append(node)
-                entries[form] = AEntry(form, op, left, right, op if fire else None, node)
+        cls2 = entry2.cls
+        nodes = joins.get((c1, id(cls2)))
+        if nodes is None:
+            nodes = _pair_nodes(joins, c1, id(cls2), slots, swap, parent)
+        fired = fires[e1, t1, entry2.endop, cls2.typeclass == 1]
+        for (op, rev), form, node, fire in zip(slots, results, nodes, fired):
+            entry = entries.setdefault(form, form)
+            if entry is form:
+                form.op, form.endop, form.cls, form._witness = op, fire, node, None
+                if rev:
+                    form.left, form.right = entry2, entry1
+                else:
+                    form.left, form.right = entry1, entry2
                 continue
-            if fire and op not in (entry.endop or ""):
-                entry.endop = (entry.endop or "") + op
-            if node is None:
-                joins[triple] = entry.cls
-            elif parent[node] != parent[entry.cls]:  # equal parents: one set already
+            if fire and fire not in (entry.endop or ""):
+                entry.endop = (entry.endop or "") + fire
+            if parent[node] != parent[entry.cls]:  # equal parents: one set already
                 a, b = _find(parent, node), _find(parent, entry.cls)
                 if a != b:
                     parent[max(a, b)] = min(a, b)
                 entry.cls = min(a, b)
+
+
+def _pair_nodes(joins: dict, c1: int, c2: int, slots: list, swap: list, parent: list) -> list:
+    """The nodes of the triples of operand classes c1 and c2, by slot: the
+    swapped pair's if it has them, else new ones, with f - g and g - f of
+    one class sharing one, and f / g and g / f."""
+    twin = joins.get((c2, c1))
+    if twin is not None:
+        nodes = [twin[j] for j in swap]
+    else:
+        nodes = []
+        for _, rev in slots:
+            if not (rev and c1 == c2):
+                parent.append(len(parent))
+            nodes.append(len(parent) - 1)
+    joins[c1, c2] = nodes
+    return nodes
 
 
 def _find(parent: list, node: int) -> int:
@@ -312,7 +328,8 @@ def _ops_tuple(ops: str) -> tuple:
 class OrbitClass:
     """An isomorphism class of one size of a build, shared by its entries.
     The build sets its size and typeclass, grouping its rep, keying its
-    key and the rep realizing it."""
+    key and the rep realizing it.  The rep is a plain form: a record
+    points at its class, so it would make a reference cycle."""
 
     key: Optional[str] = None        # least serialization over the class = the orbit key
     rep: Optional[CanonForm] = None  # a member: the first grouped, once keyed the key's
@@ -322,7 +339,8 @@ class OrbitClass:
 
 class Orbits:
     """A classified level: its classes, sorted by key if keyed, and its
-    entries (CanonForm -> AEntry), each carrying its class as entry.cls."""
+    entries (each stored form -> itself), each carrying its class as
+    entry.cls."""
 
     def __init__(self, classes: list, entries: dict):
         self.classes = classes
@@ -350,7 +368,8 @@ def _grouped(entries: dict) -> dict:
                 f"set not closed under relabeling: {len(group)} of the "
                 f"{cls.size} members of a class are stored")
         if cls.rep is None:
-            cls.rep = group[0].form
+            rep = group[0]
+            cls.rep = CanonForm(rep.num, rep.den, rep.varset)
     return members
 
 
@@ -358,8 +377,8 @@ def _record_class(members: list) -> OrbitClass:
     """Key the class its member entries share: its least serialization."""
     cls = members[0].cls
     # stored instances, whose shared polynomials cache their text
-    rep = min((m.form for m in members), key=canon.form_str)
-    cls.key, cls.rep = canon.form_str(rep), rep
+    rep = min(members, key=canon.form_str)
+    cls.key, cls.rep = canon.form_str(rep), CanonForm(rep.num, rep.den, rep.varset)
     return cls
 
 
@@ -593,14 +612,17 @@ def _check_invariance(orbits: Orbits) -> bool:
     """Ending operator and type must agree across each class: each entry,
     typed by itself, has its rep's ending operator and its class's type."""
     entries = orbits.entries
+    endops = {id(cls): entries[cls.rep].endop for cls in orbits.classes}
     # the entries share their numerators, so each distinct one is negated
-    # once: numerator -> the stored numerator equal to its negation, or None
-    stored = {form.num: form.num for form in entries}
-    negations = {num: stored.get(-num) for num in stored}
-    for form, entry in entries.items():
-        cls, neg_num = entry.cls, negations[form.num]
-        neg = None if neg_num is None else entries.get(CanonForm(neg_num, form.den, form.varset))
-        if entry.endop != entries[cls.rep].endop or _type_rule(neg, cls) != cls.typeclass:
+    # once, through its terms: numerator -> the stored numerator equal to
+    # its negation, or None
+    stored = {form.num.terms: form.num for form in entries}
+    negations = {num: stored.get(tuple([(m, -c) for m, c in terms]))
+                 for terms, num in stored.items()}
+    for entry in entries:
+        cls, neg_num = entry.cls, negations[entry.num]
+        neg = None if neg_num is None else entries.get(CanonForm(neg_num, entry.den, entry.varset))
+        if entry.endop != endops[id(cls)] or _type_rule(neg, cls) != cls.typeclass:
             return False
     return True
 

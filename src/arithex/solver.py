@@ -36,18 +36,19 @@ forms found take the exact test.
 
 What depends only on the family is done once per family and kept on it.
 The first solve with n numbers compiles the witness trees of the forms on
-{1..n} into a program, ``Family._programs[n]``: 6 595 steps and 294
-groups in about 0.54 MB at n = 5, 181 858 steps and 2 306 groups in about
-14.7 MB at n = 6.
+{1..n} into a program, ``Family._programs[n]``, by following each stored
+form's operand records: 6 595 steps and 294 groups in about 0.53 MB at
+n = 5, beside a family of about 7.5 MB, and 181 858 steps and 2 306
+groups in about 14.7 MB at n = 6, beside about 214 MB.
 The first hit of a class records the class on every stored member, as
 ``oracle.compute_orbits`` does (``Family.class_key``): the build has
 already grouped the members, so this takes their least text and
 relabels nothing.  Recording all 500 classes at n = 5 adds about 0.8 MB,
-the level grouped by class and cached polynomial text.  A puzzle then
-runs one loop over plain ints and one pass per subset looked up, and
-keeps only the set of the classes it has seen, by id: unless all
-witnesses are wanted, a hit of a class seen before is skipped before any
-keying or lookup by form.  The first puzzles on a family pay for this
+the level grouped by class, cached polynomial text and each class's rep.
+A puzzle then runs one loop over plain ints and one pass per subset
+looked up, and keeps only the set of the classes it has seen, by id:
+unless all witnesses are wanted, a hit of a class seen before is skipped
+before any keying or lookup by form.  The first puzzles on a family pay for this
 state: on a fresh n = 5 family with the program compiled, the
 projective puzzle 0, 1, 3, 10, 8 -> inf (251 classes) took 20-32 ms in
 process, 12-19 ms of it keying its classes (2-vCPU Xeon, Python 3.11).
@@ -147,8 +148,8 @@ class _Program:
             if varset < full:
                 first[varset] = len(proper)
                 proper += aeset.entries.values()
-        # keyed by identity: the family holds every form while this runs
-        position = {id(entry.form): i for i, entry in enumerate(proper)}
+        # keyed by identity: operands are stored records, all held by the family
+        position = {id(entry): i for i, entry in enumerate(proper)}
         self.entries = list(family.sets[full].entries.values())
         ops: list = []
         self.left = array("i")
@@ -160,7 +161,7 @@ class _Program:
                 self.right.append(position[id(entry.right)])
             else:
                 ops.append("x")
-                self.left.append(next(iter(entry.form.varset)))
+                self.left.append(next(iter(entry.varset)))
                 self.right.append(0)
         # a small operand lies on at most n/2 variables, so its step is
         # below few; rows[op] holds two lists over those steps, for the
@@ -302,10 +303,10 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
             continue
         solutions.append(
             Solution(
-                witness=family.witness(entry.form),
+                witness=family.witness(entry),
                 assignment=assignment,
                 value=query.target,
-                class_key=cls.key if cls.key is not None else family.class_key(entry.form),
+                class_key=cls.key if cls.key is not None else family.class_key(entry),
                 extension=False,
             )
         )

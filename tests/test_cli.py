@@ -391,6 +391,23 @@ def test_nesting_up_to_max_depth_is_accepted():
             parse(text)
 
 
+@pytest.mark.parametrize("option", ["--expr", "--against"])
+def test_expression_beyond_the_term_bound_is_an_input_error(option, monkeypatch):
+    # a product of 18 two-variable sums has 2^18 terms: refused from its
+    # tree before either expression expands
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("expanded")
+
+    big = "*".join(f"(x{2 * i + 1}+x{2 * i + 2})" for i in range(18))
+    argv = {"--expr": "x1+x2", "--against": "x3*x4"}
+    argv[option] = big
+    monkeypatch.setattr(canon, "combine_row", no_expansion)
+    with redirect_stderr(io.StringIO()) as err:
+        code, out = run_cli("classify", "--expr", argv["--expr"], "--against", argv["--against"])
+    assert code == 2 and out == ""
+    assert err.getvalue() == "error: expression expands to more than 131072 terms\n"
+
+
 def test_input_error_classes():
     for cls in (
         oracle.LimitExceeded,

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithex import canon
+from arithex.errors import InputError
 from arithex.exprtree import (
+    MAX_TERMS,
     DependencyLoss,
     DuplicateVariable,
     EmptyInput,
@@ -15,6 +17,7 @@ from arithex.exprtree import (
     eval_tree,
     parse,
     pretty,
+    term_counts,
     to_canon,
     tree_variables,
 )
@@ -116,6 +119,34 @@ def test_pretty_roundtrip_random():
         rng.shuffle(idx)
         t = _random_tree(rng, idx)
         assert parse(pretty(t)) == t
+
+
+def test_term_counts_match_the_canonical_form():
+    # the counts follow from the tree alone, since no monomials merge
+    import random
+
+    rng = random.Random(14)
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        idx = list(range(1, n + 1))
+        rng.shuffle(idx)
+        t = _random_tree(rng, idx)
+        f = to_canon(t)
+        assert term_counts(t) == (len(f.num.terms), len(f.den.terms)), pretty(t)
+
+
+def test_term_bound_is_exact():
+    # a product of k two-variable sums has 2^k numerator terms: k = 17 is
+    # the largest accepted, and a quotient flips it into the denominator
+    def sums(k):
+        return "*".join(f"(x{2 * i + 1}+x{2 * i + 2})" for i in range(k))
+
+    assert MAX_TERMS == 2 ** 17
+    assert term_counts(parse(sums(17))) == (MAX_TERMS, 1)
+    assert term_counts(parse(f"x99/({sums(17)})")) == (1, MAX_TERMS)
+    for text in (sums(18), f"x99/({sums(18)})", f"{sums(17)}+x99*x98"):
+        with pytest.raises(InputError, match=f"more than {MAX_TERMS} terms"):
+            parse(text)
 
 
 def test_eval_tree_puzzle():

@@ -735,7 +735,7 @@ def test_classes_are_keyed_only_where_a_key_is_read(monkeypatch):
     record_class = oracle._record_class
 
     def counted(members):
-        keyed.append(len(members[0].form.varset))
+        keyed.append(len(members[0].varset))
         return record_class(members)
 
     monkeypatch.setattr(oracle, "_record_class", counted)
@@ -808,6 +808,22 @@ def test_verify_and_summarize_leave_the_collector_to_the_caller(enabled, monkeyp
     assert (seen, after) == ([enabled] * 3, enabled)
 
 
+@pytest.mark.parametrize("ops", CLASSIFIABLE)
+def test_stored_forms_are_their_records(ops):
+    # each stored form is its own record, and its operands are the stored
+    # records of their sets
+    family = generate(4, ops)
+    for aeset in family.sets.values():
+        for e in aeset.entries:
+            assert aeset.entries[e] is e
+            if e.op is None:
+                assert e.left is None and e.right is None
+                continue
+            for side in (e.left, e.right):
+                assert family.sets[side.varset].entries[side] is side
+            assert canon.combine(e.op, e.left, e.right) == e
+
+
 def test_build_leaves_no_cyclic_garbage():
     # the CLI runs every command with the collector off, so a build, its
     # polynomial table and the table's negations, and what solving on a
@@ -821,6 +837,12 @@ def test_build_leaves_no_cyclic_garbage():
             del family
             assert gc.collect() == 0, ops
         oracle.summarize(4)
+        assert gc.collect() == 0
+        # keying sets each class's rep, which must not be a record: a record
+        # points at its class
+        oracle.summarize(4, dump=io.StringIO())
+        assert gc.collect() == 0
+        assert verify(4).ok
         assert gc.collect() == 0
         family = generate(5)
         for numbers, target in (([1, 2, 3, 4, 5], 24), ([0, 1, 3, 10, 8], INF),
