@@ -20,41 +20,43 @@ Two forms are isomorphic when a relabeling of the variables maps one onto
 the other (on sets of one size, not necessarily the same set).  The build
 gives every entry its class, ``AEntry.cls``, one ``OrbitClass`` shared by
 exactly the isomorphic entries of one size.  Every record f = L op R that
-the build makes joins f's class to the triple (op, class of L, class of
-R); the pair is unordered for + and *, which are commutative and whose
-bipartitions the build visits once, and ordered for - and /, the swapped
-records included.  The atoms share one class.  A union-find per size
-merges the triples that reach one form, and its nodes are resolved to
-classes when the size is complete, so operands always carry their final
-class; one lookup per operand pair finds the nodes of all its triples.
-This is exact:
+the build makes reaches the triple (op, class of L, class of R); the pair
+is unordered for + and *, which are commutative and whose bipartitions the
+build visits once, and ordered for - and /, the swapped records included.
+The atoms share one class.  The build numbers each triple of a size when
+it first meets it, one lookup per operand pair giving the numbers of all
+its triples, and each entry keeps the least number it reaches; when the
+size is complete, each least number becomes one class, so operands always
+carry their final class.  This is exact:
 
 * Forms that share a triple are isomorphic.  L op R and L' op R' with
   L ~ L' and R ~ R' put each operand on a complementary variable set, so
   the two relabelings join into one that maps L op R onto L' op R' (and
   R op L onto it for + and *).
-* Isomorphic forms share a triple.  A relabeling s with s(f) = g maps any
-  record L op R of f to s(L) op s(R), a record of g with operands of the
-  same classes; the build makes that record, since it combines every pair
-  of stored forms on complementary sets and every set is closed under
-  relabeling.
+* Isomorphic forms reach the same triples.  A relabeling s with s(f) = g
+  maps every record L op R of f to s(L) op s(R), a record of g with
+  operands of the same classes; the build makes that record, since it
+  combines every pair of stored forms on complementary sets and every set
+  is closed under relabeling.  And s's inverse maps g's records back.
 
-By induction on the size, a shared class is then exactly an isomorphism
-class.  A form's type asks whether -f is stored and, if so, in f's class;
-negation commutes with relabeling, so isomorphic forms have one type, and
-``classify_types`` reads it once per class, off one member on {1..k}.
-The - rule reads its operands' types off their classes.  The build records
-each class's size, its members in each set of its size, and keys none.
-Every reader groups a set by class first, which raises if a set holds
-fewer members of a class than its size: the set is not closed under
-relabeling.  A class is keyed, to the least serialization of its members,
-only where a key is read: ``compute_orbits`` keys a level for ``--dump``
-and ``verify``'s class listings, ``Family.class_key`` one class on its
-first hit; ``classify_level`` keys nothing, and the counts, the category
-table and the other checks read no key.  Nothing is relabeled:
-``canon.orbit``, a plain walk over all k! relabelings, serves only those
-listings at k <= 4 and the tests' orbit check, which shares no theory
-with the build.
+So the forms of one class reach one set of triples and, by the first
+point, forms of different classes disjoint ones: the least number a form
+reaches names its class, and by induction on the size each class is
+exactly an isomorphism class.  A form's type asks whether -f is stored
+and, if so, in f's class; negation commutes with relabeling, so
+isomorphic forms have one type, and ``classify_types`` reads it once per
+class, off one member on {1..k}.  The - rule reads its operands' types
+off their classes.  The build records each class's size, its members in
+each set of its size, and keys none.  Every reader groups a set by class
+first, which raises if a set holds fewer members of a class than its
+size: the set is not closed under relabeling.  A class is keyed, to the
+least serialization of its members, only where a key is read:
+``compute_orbits`` keys a level for ``--dump`` and ``verify``'s class
+listings, ``Family.class_key`` one class on its first hit;
+``classify_level`` keys nothing, and the counts, the category table and
+the other checks read no key.  Nothing is relabeled: ``canon.orbit``, a
+plain walk over all k! relabelings, serves only those listings at k <= 4
+and the tests' orbit check, which shares no theory with the build.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterator, Optional
 
 from . import canon, counting, reference
@@ -109,8 +111,9 @@ class AEntry(CanonForm):
     slots on it.  It keeps the first way it arose, form = left op right,
     with left and right the stored records of their sets; an atom has op,
     left and right None.  While its set is built, endop holds the ending
-    rules fired so far, and until its size is complete, cls holds a node of
-    that size's union-find.  Its type is its class's, ``cls.typeclass``."""
+    rules fired so far, and until its size is complete, cls holds the least
+    number of the triples it reaches (module docstring).  Its type is its
+    class's, ``cls.typeclass``."""
 
     __slots__ = ("op", "left", "right", "endop", "cls", "_witness")
 
@@ -181,11 +184,11 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     - and /.  Every entry keeps the first (op, left, right) that produced
     it, its witness.
 
-    Each (op, left, right) joins its result's class to the triple of op and
-    the operands' classes, final since their sizes are complete (module
-    docstring); when a size is complete, each class of it becomes one
-    unkeyed ``OrbitClass``, set on its entries and typed by
-    ``classify_types``.
+    Each (op, left, right) reaches the triple of op and the operands'
+    classes, final since their sizes are complete, and its result keeps the
+    least number of the triples it reaches (module docstring); when a size
+    is complete, each least number becomes one unkeyed ``OrbitClass``, set
+    on its entries and typed by ``classify_types``.
 
     If ``check_classifiable`` passes the ops, each (op, left, right) fires
     the rule of op when both operands' ending operators, final since their
@@ -215,8 +218,8 @@ def generate(n: int, ops: str = "+-*/") -> Family:
              for a in ends for b in ends for s in bools for t in bools}
     atoms = OrbitClass(size=1, typeclass=1)  # the class of every atom
     for size in range(1, n + 1):
-        joins: dict = {}  # (id of left class, id of right class) -> nodes by slot
-        parent: list = []  # this size's union-find: node -> parent node
+        joins: dict = {}  # (id of left class, id of right class) -> triple numbers by slot
+        counter = count()  # numbers this size's triples
         level: list = []  # the entries of this size's sets
         for subset in combinations(range(1, n + 1), size):
             fs = frozenset(subset)
@@ -237,18 +240,17 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 for entry1 in family.sets[left].entries:
                     rows = combine_row(entry1, right_entries, ops_t, fs, table, AEntry)
                     _record_row(entries, entry1, right_entries, rows, slots, swap,
-                                fires, joins, parent)
+                                fires, joins, counter)
             if classify:
                 classify_endops(entries)
-        # each root of this size's union-find becomes one class; relabeling
-        # maps the sets of a size onto each other, so each holds a class's
-        # members in equal number
-        roots = [_find(parent, node) for node in range(len(parent))]
-        classes = {root: OrbitClass() for root in set(roots)}
-        final = [classes[root] for root in roots]
+        # each least triple number names one class; relabeling maps the sets
+        # of a size onto each other, so each holds a class's members in
+        # equal number
+        least = {entry.cls for entries in level for entry in entries}
+        classes = {number: OrbitClass() for number in least}
         for entries in level:
             for entry in entries:
-                entry.cls = cls = final[entry.cls]
+                entry.cls = cls = classes[entry.cls]
                 cls.size += 1
         for cls in classes.values():
             cls.size //= len(level)
@@ -258,23 +260,24 @@ def generate(n: int, ops: str = "+-*/") -> Family:
 
 
 def _record_row(entries: dict, entry1: AEntry, right_entries, rows, slots: list, swap: list,
-                fires: dict, joins: dict, parent: list) -> None:
+                fires: dict, joins: dict, counter) -> None:
     """Record the rows of one left entry against a right set, each pair's
     results in slots order, (op, whether reversed): store each new result
-    as itself with its (op, left, right) witness, add op to the rules fired
-    if it fires, and join the result's class node to its triple's."""
+    as itself with its (op, left, right) witness and its triple's number,
+    add op to the rules fired if it fires, and keep the least number of
+    the triples a result reaches."""
     cls1 = entry1.cls
     c1, e1, t1 = id(cls1), entry1.endop, cls1.typeclass == 1
     for entry2, results in zip(right_entries, rows):
         cls2 = entry2.cls
-        nodes = joins.get((c1, id(cls2)))
-        if nodes is None:
-            nodes = _pair_nodes(joins, c1, id(cls2), slots, swap, parent)
+        numbers = joins.get((c1, id(cls2)))
+        if numbers is None:
+            numbers = _pair_numbers(joins, c1, id(cls2), slots, swap, counter)
         fired = fires[e1, t1, entry2.endop, cls2.typeclass == 1]
-        for (op, rev), form, node, fire in zip(slots, results, nodes, fired):
+        for (op, rev), form, number, fire in zip(slots, results, numbers, fired):
             entry = entries.setdefault(form, form)
             if entry is form:
-                form.op, form.endop, form.cls, form._witness = op, fire, node, None
+                form.op, form.endop, form.cls, form._witness = op, fire, number, None
                 if rev:
                     form.left, form.right = entry2, entry1
                 else:
@@ -282,35 +285,25 @@ def _record_row(entries: dict, entry1: AEntry, right_entries, rows, slots: list,
                 continue
             if fire and fire not in (entry.endop or ""):
                 entry.endop = (entry.endop or "") + fire
-            if parent[node] != parent[entry.cls]:  # equal parents: one set already
-                a, b = _find(parent, node), _find(parent, entry.cls)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-                entry.cls = min(a, b)
+            if number < entry.cls:
+                entry.cls = number
 
 
-def _pair_nodes(joins: dict, c1: int, c2: int, slots: list, swap: list, parent: list) -> list:
-    """The nodes of the triples of operand classes c1 and c2, by slot: the
-    swapped pair's if it has them, else new ones, with f - g and g - f of
-    one class sharing one, and f / g and g / f."""
+def _pair_numbers(joins: dict, c1: int, c2: int, slots: list, swap: list, counter) -> list:
+    """The numbers of the triples of operand classes c1 and c2, by slot:
+    the swapped pair's if it has them, else new ones, with f - g and g - f
+    of one class sharing one, and f / g and g / f."""
     twin = joins.get((c2, c1))
     if twin is not None:
-        nodes = [twin[j] for j in swap]
+        numbers = [twin[j] for j in swap]
     else:
-        nodes = []
+        numbers = []
         for _, rev in slots:
             if not (rev and c1 == c2):
-                parent.append(len(parent))
-            nodes.append(len(parent) - 1)
-    joins[c1, c2] = nodes
-    return nodes
-
-
-def _find(parent: list, node: int) -> int:
-    """The root of node in a union-find, halving the path on the way."""
-    while parent[node] != node:
-        parent[node] = node = parent[parent[node]]
-    return node
+                number = next(counter)
+            numbers.append(number)
+    joins[c1, c2] = numbers
+    return numbers
 
 
 def _ops_tuple(ops: str) -> tuple:
@@ -470,14 +463,17 @@ def dump_lines(family: Family, orbits: Orbits) -> Iterator[dict]:
 
 def summarize(n: int, ops: str = "+-*/", dump=None) -> tuple:
     """Build and classify the level n: its ops in +-*/ order, identity
-    count, class count and category table.  With a text file as dump, one
-    JSON line per class (``dump_lines``) is written to it."""
+    count, class count and category table.  With a text file as dump, the
+    level is keyed instead and one JSON line per class (``dump_lines``) is
+    written to it."""
     check_classifiable(ops)
     family = generate(n, ops=ops)
     aeset = family.full_set()
-    orbits = classify_level(aeset)
-    if dump is not None:
-        for record in dump_lines(family, compute_orbits(aeset, n)):
+    if dump is None:
+        orbits = classify_level(aeset)
+    else:
+        orbits = compute_orbits(aeset, n)
+        for record in dump_lines(family, orbits):
             dump.write(json.dumps(record) + "\n")
     return "".join(family.ops), len(aeset.entries), len(orbits), category_table(orbits)
 

@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -331,6 +333,17 @@ def test_over_long_numbers_name_the_digit_limit(argv):
     assert f" {sys.get_int_max_str_digits()} " in lines[0] and len(lines[0]) < 200, lines
 
 
+def test_python_floor_has_the_digit_limit():
+    # the parser and --numbers read sys.get_int_max_str_digits(), which
+    # CPython added in 3.10.7; the declared floor must not admit older ones
+    # (a regex: tomllib is not in 3.10)
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+(?:\.\d+)*)"$', text, re.M)
+    assert floor, "no requires-python floor in pyproject.toml"
+    assert tuple(map(int, floor.group(1).split("."))) >= (3, 10, 7), floor.group(0)
+    assert hasattr(sys, "get_int_max_str_digits")
+
+
 def _fraction_of_no_exponent(value, *args):
     # Fraction, for any text but one in exponent notation, for which it
     # would build 10**E first: seconds to minutes for the ones below
@@ -644,3 +657,132 @@ def test_determinism():
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second
+
+
+# -- grammar fuzz ---------------------------------------------------------------
+
+_FUZZ_SEED, _FUZZ_RUNS = 20261020, 500
+# pieces a field is made of or mutated with: broken syntax, unicode digits
+# and letters, control characters, and numbers too long or undefined
+_FUZZ_JUNK = ["", " ", "\t", "\x00", "x", "x0", "x-1", "(", ")", "()", "+", "-", "*", "/", "**",
+              "٣", "²", "é", "∞", "½", "1e5000", "1/0", "1_0", "0x1f",
+              "nan", "inf", "x" + "9" * 5000, "9" * 5000]
+_FUZZ_INDICES = [1, 2, 3, 4, 5, 9, 10, 77, 10 ** 40]
+_FUZZ_NUMBERS = (["0", "1", "2", "3", "7", "-4", "1/3", "2.5", " 6 ", "+5", "1e3", "-0.0"],
+                 ["0e999999999", "1e5000", "1e-5000", "1/0", "٣", "", " ", "x", "inf", "nan",
+                  "1_000", "9" * 5000, "½", "1e", "--1"])
+
+
+def _field(rng, valid, broken):
+    """A field's value: valid three times in four."""
+    return rng.choice(valid if rng.random() < 0.75 else broken)
+
+
+def _fuzz_tree(rng, leaves):
+    """Text of a random expression tree on the given leaves, some of its
+    subtrees in parentheses, with varied spacing."""
+    if len(leaves) == 1:
+        text = leaves[0]
+    else:
+        cut = rng.randint(1, len(leaves) - 1)
+        op = rng.choice(["+", "-", "*", "/", " * ", "\t-", " /"])
+        text = _fuzz_tree(rng, leaves[:cut]) + op + _fuzz_tree(rng, leaves[cut:])
+    return f"({text})" if rng.random() < 0.3 else text
+
+
+def _fuzz_expression(rng):
+    """An expression on at most 4 variables, mutated three times in seven, or
+    one nested or chained around MAX_DEPTH."""
+    kind = rng.random()
+    if kind < 0.1:
+        depth = rng.choice([1, 50, MAX_DEPTH, MAX_DEPTH + 1, 1000])
+        return "(" * depth + "x1" + ")" * depth
+    if kind < 0.2:
+        length = rng.choice([MAX_DEPTH + 2, 300, 990])
+        return rng.choice("+-*/").join(f"x{i}" for i in range(1, length + 1))
+    leaves = [f"x{i}" for i in rng.sample(_FUZZ_INDICES, rng.randint(1, 4))]
+    text = _fuzz_tree(rng, leaves)
+    for _ in range(rng.choice([0, 0, 0, 0, 1, 2, 3])):
+        at = rng.randint(0, len(text))
+        edit = rng.random()
+        if edit < 0.5:
+            text = text[:at] + rng.choice(_FUZZ_JUNK) + text[at:]
+        elif edit < 0.75:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + rng.choice("x()+-*/ 0123456789٣") + text[at + 1:]
+    return text
+
+
+def _fuzz_ops(rng):
+    broken = "".join(rng.choice("+-*/+-*/x ٣") for _ in range(rng.randint(0, 4)))
+    return _field(rng, ["+-*/", "+", "*", "+*", "+-*", "*/", "/*-+", "++"], [broken])
+
+
+def _fuzz_argv(rng, tmp_path):
+    """One command line: a subcommand and its options, each field drawn
+    from valid and broken values.  The builds stay small: classify on at
+    most 4 variables, oracle and verify at n <= 3, count to at most 60 and
+    no six-number solve."""
+    pick = rng.choice
+    command = pick(["count", "oracle", "verify", "solve", "classify"])
+    if command == "count":
+        argv = ["count", "--max-n", _field(rng, ["1", "2", "17", "30", "60", " 12", "٣٠"],
+                                           ["0", "-1", "", "x", "1e5000", "9" * 30])]
+        argv += ["--format", _field(rng, ["table", "json", "csv"], ["xml", ""])]
+        if rng.random() < 0.4:
+            cell = [_field(rng, ["+", "-", "*", "/"], ["^", "", "÷"]),
+                    _field(rng, ["first", "second", "third", " first"], ["fourth", ""]),
+                    _field(rng, ["2", "6", "17", "٣"], ["41", "0", "-3", "x", "1e5000"])]
+            argv += ["--breakdown", ",".join(cell[:rng.choice([1, 2, 3, 3, 3, 3])])]
+    elif command == "oracle":
+        argv = ["oracle", "--n", _field(rng, ["1", "2", "3", "٣"],
+                                        ["0", "-1", "7", "99", "", "x", "1e5000", "٣٣"])]
+        argv += ["--ops", _fuzz_ops(rng)] if rng.random() < 0.7 else []
+        argv += ["--deep"] if rng.random() < 0.3 else []
+        argv += ["--format", _field(rng, ["table", "json"], ["yaml"])]
+        if rng.random() < 0.3:
+            name = _field(rng, ["dump.jsonl", "é"], ["no-such-dir/x"])
+            argv += ["--dump", str(tmp_path / name)]
+    elif command == "verify":
+        argv = ["verify", "--max-n", _field(rng, ["1", "2", "3", "٣"], ["0", "6", "7", "", "x"])]
+        argv += ["--ops", _fuzz_ops(rng)] if rng.random() < 0.7 else []
+        if rng.random() < 0.5:
+            argv += ["--seed", _field(rng, ["0", "1", "-5", "9" * 30], ["x", ""])]
+    elif command == "solve":
+        count = rng.choices([1, 2, 3, 4, 5, 7], weights=[3, 6, 6, 6, 1, 2])[0]
+        argv = ["solve", "--numbers", ",".join(_field(rng, *_FUZZ_NUMBERS) for _ in range(count)),
+                "--target", _field(rng, _FUZZ_NUMBERS[0] + ["inf", "oo", "24"], _FUZZ_NUMBERS[1])]
+        argv += ["--all"] if rng.random() < 0.3 else []
+        argv += ["--json"] if rng.random() < 0.3 else []
+        if rng.random() < 0.3:
+            argv += ["--max-solutions", _field(rng, ["0", "3", "٣"], ["-1", "x", ""])]
+    else:
+        argv = ["classify", "--expr", _fuzz_expression(rng)]
+        argv += ["--against", _fuzz_expression(rng)] if rng.random() < 0.3 else []
+        argv += ["--json"] if rng.random() < 0.3 else []
+    return argv
+
+
+def test_grammar_fuzz(tmp_path):
+    # seeded command lines through every subcommand, in process: each ends
+    # with exit 0 or 2 and no traceback, and an exit 2 prints one error line
+    rng = random.Random(_FUZZ_SEED)
+    codes = []
+    for _ in range(_FUZZ_RUNS):
+        argv = _fuzz_argv(rng, tmp_path)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+            except Exception as exc:
+                pytest.fail(f"{argv!r} raised {exc!r}")
+        text = err.getvalue()
+        assert code in (0, 2) and "Traceback" not in text + out.getvalue(), (argv, code, text)
+        if code == 2:
+            assert sum("error:" in line for line in text.splitlines()) == 1, (argv, text)
+        codes.append(code)
+    # the mix holds both outcomes in number
+    assert codes.count(0) > _FUZZ_RUNS // 5 and codes.count(2) > _FUZZ_RUNS // 5

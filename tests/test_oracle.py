@@ -432,6 +432,35 @@ def test_classes_are_orbits(ops, n, request):
         assert counts == [1, 4, 18, 93, 500]
 
 
+@pytest.mark.parametrize("ops, n", [("+-*/", 5)] + [(ops, 4) for ops in FRAGMENTS])
+def test_classes_reach_equal_or_disjoint_triples(ops, n, request):
+    # the lemma behind the build's classes: over every decomposition of
+    # every form, the forms of one class reach one set of triples (op,
+    # class of L, class of R), unordered for + and *, and forms of
+    # different classes disjoint sets
+    fam = request.getfixturevalue("family5") if n == 5 else generate(n, ops=ops)
+
+    def cls(f):
+        return fam.entry_of(f).cls
+
+    reached = {}  # id of a class -> the triple set of its first member
+    owner = {}  # triple -> id of the class whose forms reach it
+    for _, forms in _reference_generate(n, ops):
+        for f, _, decomps in forms:
+            if not decomps:
+                continue
+            triples = set()
+            for op, a, b in decomps:
+                pair = (id(cls(a)), id(cls(b)))
+                triples.add((op, *(sorted(pair) if op in "+*" else pair)))
+            c = id(cls(f))
+            assert reached.setdefault(c, triples) == triples, f"{f!r} reaches other triples"
+            for triple in triples:
+                assert owner.setdefault(triple, c) == c, f"{f!r} shares {triple}"
+    classes = [oracle.classify_level(fam.full_set(k)) for k in range(2, n + 1)]
+    assert len(reached) == sum(map(len, classes))
+
+
 def test_compute_orbits_requires_closure_of_twin_classes():
     # (x1+x2)*(x3+x4) is fixed by swapping x1, x2 and by swapping x3, x4;
     # dropping the last stored of its three members leaves its class short of the size the build counted
