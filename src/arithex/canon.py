@@ -45,22 +45,23 @@ assignment is the one operation that can surface a common factor, and it
 cancels it by a slice on the variables the quotient no longer depends on,
 checked by cross-multiplication (see ``reduce_quotient``).
 
-Work repeated across a build is done once.  ``combine_row`` combines a
-left form with every form of a right set, taking each cross product at
-its first use from the left polynomials' rows in a ``mpoly.PolyTable``.
-Every denominator and every ``*`` and ``/`` numerator is a stored product
-or its stored negation, and so are the reversed ``-`` and ``/`` results,
-so the ``+`` and ``-`` numerators are the only polynomials that can be
-new: each is sorted from stored terms, looked up by them and built only
-if it is not stored (at n = 5, 21 984 of the 24 040 are).  A build that
-passes one table thus computes each product once, negates each
-polynomial once and keeps one copy of each polynomial and of each term.
-``combine`` is the one-pair call.  ``combine_row`` builds its results as
-the class it is given, ``CanonForm`` by default; the build passes its
-record class, a subclass, so each stored form is its own record.  A form
-hashes its polynomials' cached hashes, so hashing a form reads no term,
-and two forms holding the same polynomial objects, as equal forms of one
-build do, compare equal without reading a term.
+Work repeated across a build is done once.  ``pair_combiner`` decides
+once per build which operators apply and returns the function that
+combines one pair of forms under all of them, taking each cross product
+at its first use from the rows of the left polynomials in a
+``mpoly.PolyTable``.  Every denominator and every ``*`` and ``/``
+numerator is a stored product or its stored negation, and so are the
+reversed ``-`` and ``/`` results, so the ``+`` and ``-`` numerators are
+the only polynomials that can be new: each is sorted from stored terms,
+looked up by them and built only if it is not stored (at n = 5, 21 984
+of the 24 040 are).  A build that passes one table thus computes each
+product once, negates each polynomial once and keeps one copy of each
+polynomial and of each term.  The per-pair function returns polynomials,
+not forms: the build makes each result its record, and ``combine``, the
+one-operator call, a ``CanonForm``.  A form hashes its polynomials'
+cached hashes, so hashing a form reads no term, and two forms holding
+the same polynomial objects, as equal forms of one build do, compare
+equal without reading a term.
 
 An orbit walks all n! relabelings of {1..n}, each through ``apply_perm``;
 every caller in the package takes orbits of forms on at most 4 variables
@@ -152,33 +153,32 @@ def _normalized(num: MultiPoly, den: MultiPoly) -> CanonForm:
     return CanonForm(num, den, num.variables() | den.variables())
 
 
-def combine_row(f: CanonForm, gs, ops: tuple, varset: Optional[frozenset] = None,
-                table: Optional[PolyTable] = None, result: type = CanonForm) -> Iterator[list]:
-    """For each form g of gs in turn, on variables disjoint from f's (their
-    union is varset, unchecked if given), f op g for each op of ops, a
-    tuple of distinct operators of + - * /, with g - f right after f - g
-    and g / f right after f / g.
+def pair_combiner(ops, table: Optional[PolyTable] = None):
+    """The function that combines one pair of forms f and g, on disjoint
+    variable sets (unchecked), under the operators of ops, distinct ones of
+    + - * /: it returns the results in + - * / order as one flat tuple of
+    polynomials, the numerator and the denominator of each in turn, with
+    g - f right after f - g and g / f right after f / g.  Which operators
+    it applies is decided here, once for all the pairs it combines.
 
     Cross-multiplication rules, with f = F1/F2 and g = G1/G2:
     ``+ -> (F1*G2 + F2*G1)/(F2*G2)``, ``- -> (F1*G2 - F2*G1)/(F2*G2)``,
     ``* -> (F1*G1)/(F2*G2)``, ``/ -> (F1*G2)/(F2*G1)``; g - f negates the
     numerator of f - g, and g / f is (F2*G1)/(F1*G2).  Only ``/`` flips
     both signs, when its denominator is not monic (module docstring).  The
-    results hold table's polynomials; a one-off call gets a fresh table.
-    Each result is built as result(num, den, varset), a ``CanonForm`` or a
-    subclass with the same constructor, such as the build's records.
+    results hold table's polynomials, each product read from its left
+    factor's row; without a table the function gets a fresh one.  A
+    vanishing numerator or ``/`` denominator raises ``NonAEResult``.
     """
     if table is None:
         table = PolyTable()
-    product, negation, polys = table.product, table.negation, table.polys
-    f1, f2 = f.num, f.den
-    row1, row2 = table.products[f1], table.products[f2]
-    cross, common = ops != ("*",), ops != ("/",)  # F1*G2 and F2*G1; F2*G2
-    for g in gs:
-        g1, g2 = g.num, g.den
-        if varset is None and f.varset & g.varset:
-            raise OverlappingVariables(f"operands share variables {sorted(f.varset & g.varset)}")
-        vs = f.varset | g.varset if varset is None else varset
+    products, product, negation, polys = table.products, table.product, table.negation, table.polys
+    plus, minus, times, divide = (op in ops for op in OPS)
+    cross, common = plus or minus or divide, plus or minus or times  # F1*G2 and F2*G1; F2*G2
+
+    def combine_pair(f: CanonForm, g: CanonForm) -> tuple:
+        f1, f2, g1, g2 = f.num, f.den, g.num, g.den
+        row1, row2 = products[f1], products[f2]
         if cross:
             f1g2, f2g1 = row1.get(g2), row2.get(g1)
             if f1g2 is None:
@@ -189,40 +189,57 @@ def combine_row(f: CanonForm, gs, ops: tuple, varset: Optional[frozenset] = None
             f2g2 = row2.get(g2)
             if f2g2 is None:
                 f2g2 = product(f2, g2)
-        results = []
-        for op in ops:
-            if op == "/":
-                num, den = (f1g2, f2g1) if f2g1.terms[0][1] > 0 else (
-                    negation(f1g2), negation(f2g1))
-            elif op == "*":
-                num, den = row1.get(g1), f2g2
-                if num is None:
-                    num = product(f1, g1)
-            else:
-                # F1*G2 and F2*G1 share no monomial: the numerator is one
-                # sort of two sorted runs of stored terms, built only if new
-                terms = tuple(sorted(f1g2.terms + (f2g1 if op == "+" else negation(f2g1)).terms))
-                num, den = polys.get(terms), f2g2
-                if num is None:
-                    num = polys[terms] = MultiPoly(terms)
+        out = []
+        # F1*G2 and F2*G1 share no monomial: the + and - numerators are each
+        # one sort of two sorted runs of stored terms, built only if new
+        if plus:
+            terms = tuple(sorted(f1g2.terms + f2g1.terms))
+            if not terms:
+                raise NonAEResult(f"vanishing numerator combining {f!r} + {g!r}")
+            num = polys.get(terms)
+            if num is None:
+                num = polys[terms] = MultiPoly(terms)
+            out += (num, f2g2)
+        if minus:
+            terms = tuple(sorted(f1g2.terms + negation(f2g1).terms))
+            if not terms:
+                raise NonAEResult(f"vanishing numerator combining {f!r} - {g!r}")
+            num = polys.get(terms)
+            if num is None:
+                num = polys[terms] = MultiPoly(terms)
+            out += (num, f2g2, negation(num), f2g2)
+        if times:
+            num = row1.get(g1)
+            if num is None:
+                num = product(f1, g1)
             if not num.terms:
-                raise NonAEResult(f"vanishing numerator combining {f!r} {op} {g!r}")
-            results.append(result(num, den, vs))
-            if op == "-":
-                results.append(result(negation(num), den, vs))
-            elif op == "/":
-                results.append(result(f2g1, f1g2, vs) if f1g2.terms[0][1] > 0 else
-                               result(negation(f2g1), negation(f1g2), vs))
-        yield results
+                raise NonAEResult(f"vanishing numerator combining {f!r} * {g!r}")
+            out += (num, f2g2)
+        if divide:
+            upper, lower = f1g2.terms, f2g1.terms
+            if not lower:
+                raise NonAEResult(f"vanishing denominator combining {f!r} / {g!r}")
+            if not upper:
+                raise NonAEResult(f"vanishing numerator combining {f!r} / {g!r}")
+            out += (f1g2, f2g1) if lower[0][1] > 0 else (negation(f1g2), negation(f2g1))
+            out += (f2g1, f1g2) if upper[0][1] > 0 else (negation(f2g1), negation(f1g2))
+        return tuple(out)
+
+    return combine_pair
 
 
 def combine(op: str, f: CanonForm, g: CanonForm, varset: Optional[frozenset] = None,
             table: Optional[PolyTable] = None) -> CanonForm:
-    """f op g for two forms on disjoint variable sets: ``combine_row``'s
-    first result for the one right form g."""
+    """f op g for two forms on disjoint variable sets, whose union is varset
+    (unchecked if given): the first result of ``pair_combiner`` for op."""
     if op not in OPS:
         raise ValueError(f"unknown operator {op!r}")
-    return next(combine_row(f, (g,), (op,), varset, table))[0]
+    if varset is None:
+        if f.varset & g.varset:
+            raise OverlappingVariables(f"operands share variables {sorted(f.varset & g.varset)}")
+        varset = f.varset | g.varset
+    polys = pair_combiner((op,), table)(f, g)
+    return CanonForm(polys[0], polys[1], varset)
 
 
 def negate(f: CanonForm) -> CanonForm:

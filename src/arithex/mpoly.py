@@ -209,11 +209,13 @@ class PolyTable:
     ``polys.get(terms)`` is the stored polynomial with those sorted terms,
     or None; the tuple compares in C, so a lookup runs no Python-level
     ``__hash__`` or ``__eq__``.  ``products[a]`` is the row of a, b -> a*b
-    for each b taken so far, made on first use: a caller that multiplies
-    one polynomial by many fetches its row once.  A polynomial stored by
-    ``intern`` holds the table's terms; one built from stored polynomials'
-    terms, as ``canon.combine_row`` builds its + and - numerators, already
-    does.  A table lives as long as the build that owns it.
+    for each b taken so far, made on first use: the per-pair function of
+    ``canon.pair_combiner`` fetches the rows of its left form's numerator
+    and denominator once per pair and reads all four cross products of the
+    pair from them.  A polynomial stored by ``intern`` holds the table's
+    terms; one built from stored polynomials' terms, as that function
+    builds its + and - numerators, already does.  A table lives as long as
+    the build that owns it.
     """
 
     __slots__ = ("polys", "terms", "products", "negations")

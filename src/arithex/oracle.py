@@ -2,15 +2,17 @@
 
 Generates every constructible expression on each subset of {x1..xn} by
 closing the atoms under the four operations with disjoint variable sets,
-deduplicating by canonical form.  Each left operand is combined with its
-whole right set, under every operator, by ``canon.combine_row``, through
-one polynomial table for the whole build (see ``canon``) that is dropped
-when the build returns.  Each stored form is its own record, an
-``AEntry`` that ``combine_row`` built, whose operands are records.  The
-build also classifies by ending operator, firing the ending rules as it
-records each result, and finds and types every isomorphism class, as
-below; ``verify`` checks it all against the recurrence engine and the
-published values.
+deduplicating by canonical form.  Each pair of a left and a right
+operand is combined under every operator by one call of the per-pair
+function that ``canon.pair_combiner`` makes for the build's operators,
+through one polynomial table for the whole build (see ``canon``) that is
+dropped when the build returns, and the same loop records each result it
+returns.  Each stored form is its own record, an ``AEntry``, whose
+operands are records; the build makes one record per stored form, none
+per repeated result.  The build also classifies by ending operator,
+firing the ending rules as it records each result, and finds and types
+every isomorphism class, as below; ``verify`` checks it all against the
+recurrence engine and the published values.
 
 A build makes no reference cycles, so reference counting alone frees it;
 the CLI relies on that and runs every command with the cyclic garbage
@@ -106,11 +108,11 @@ class ClassificationAmbiguous(RuntimeError):
 
 
 class AEntry(CanonForm):
-    """A stored form, its own record: ``canon.combine_row`` builds the
-    build's results as records, and a new one is recorded by setting these
-    slots on it.  It keeps the first way it arose, form = left op right,
-    with left and right the stored records of their sets; an atom has op,
-    left and right None.  While its set is built, endop holds the ending
+    """A stored form, its own record: the build writes each result of a
+    pair into a spare AEntry, and records a new one by storing it and
+    setting these slots on it.  It keeps the first way it arose,
+    form = left op right, with left and right the stored records of their
+    sets; an atom has op, left and right None.  While its set is built, endop holds the ending
     rules fired so far, and until its size is complete, cls holds the least
     number of the triples it reaches (module docstring).  Its type is its
     class's, ``cls.typeclass``."""
@@ -179,10 +181,12 @@ def generate(n: int, ops: str = "+-*/") -> Family:
 
     n must lie in 1..MAX_N.  Subsets are processed by size then
     lexicographically; each unordered bipartition is visited once (the side
-    containing the least element first), each left operand against the
-    whole right side by ``canon.combine_row``, with both operand orders for
-    - and /.  Every entry keeps the first (op, left, right) that produced
-    it, its witness.
+    containing the least element first), each left operand against each
+    form of the right side by one call of the build's per-pair function
+    (``canon.pair_combiner``), with both operand orders for - and /, and
+    each result is recorded in the same loop: a new one is stored as
+    itself, a repeat only updates the record stored.  Every entry keeps
+    the first (op, left, right) that produced it, its witness.
 
     Each (op, left, right) reaches the triple of op and the operands'
     classes, final since their sizes are complete, and its result keeps the
@@ -201,12 +205,17 @@ def generate(n: int, ops: str = "+-*/") -> Family:
         raise LimitExceeded(f"n={n} outside 1..{MAX_N}")
     ops_t = _ops_tuple(ops)
     family = Family(n, ops_t)
-    combine_row = canon.combine_row
     table = PolyTable()
-    # each pair's results from combine_row: (op, whether reversed); slot i
-    # of a pair shares its triple with slot swap[i] of the swapped pair
+    combine_pair = canon.pair_combiner(ops_t, table)
+    # a pair's results from combine_pair: (op, whether reversed); slot i of
+    # a pair shares its triple with slot swap[i] of the swapped pair
     slots = [(op, rev) for op in ops_t for rev in ((False, True) if op in "-/" else (False,))]
     swap = [slots.index((op, not rev)) if op in "-/" else i for i, (op, rev) in enumerate(slots)]
+    # each slot with its index and that of its numerator in a pair's results
+    record = [(op, rev, i, 2 * i) for i, (op, rev) in enumerate(slots)]
+    # each result is written into a spare record first: a new form keeps
+    # it, and a repeat leaves it to the next result
+    init, spare = CanonForm.__init__, object.__new__(AEntry)
     classify = _classifiable(ops_t)
     rules = {op: _END_RULES[op] for op in ops_t} if classify else {}
     # fires[a, s, b, t]: per slot, op if its rule fires for operands ending
@@ -238,9 +247,34 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 left = frozenset((first, *(v for i, v in enumerate(rest) if mask >> i & 1)))
                 right_entries = family.sets[fs - left].entries
                 for entry1 in family.sets[left].entries:
-                    rows = combine_row(entry1, right_entries, ops_t, fs, table, AEntry)
-                    _record_row(entries, entry1, right_entries, rows, slots, swap,
-                                fires, joins, counter)
+                    cls1 = entry1.cls
+                    c1, e1, t1 = id(cls1), entry1.endop, cls1.typeclass == 1
+                    for entry2 in right_entries:
+                        polys = combine_pair(entry1, entry2)
+                        cls2 = entry2.cls
+                        numbers = joins.get((c1, id(cls2)))
+                        if numbers is None:
+                            numbers = _pair_numbers(joins, c1, id(cls2), slots, swap, counter)
+                        fired = fires[e1, t1, entry2.endop, cls2.typeclass == 1]
+                        # a new result is stored as itself with its witness,
+                        # the rule it fires and its triple's number; a repeat
+                        # adds the rule and keeps the least number
+                        for op, rev, i, j in record:
+                            init(spare, polys[j], polys[j + 1], fs)
+                            entry = entries.setdefault(spare, spare)
+                            fire, number = fired[i], numbers[i]
+                            if entry is spare:
+                                entry.op, entry.endop, entry.cls, entry._witness = op, fire, number, None
+                                if rev:
+                                    entry.left, entry.right = entry2, entry1
+                                else:
+                                    entry.left, entry.right = entry1, entry2
+                                spare = object.__new__(AEntry)
+                                continue
+                            if fire and fire not in (entry.endop or ""):
+                                entry.endop = (entry.endop or "") + fire
+                            if number < entry.cls:
+                                entry.cls = number
             if classify:
                 classify_endops(entries)
         # each least triple number names one class; relabeling maps the sets
@@ -257,36 +291,6 @@ def generate(n: int, ops: str = "+-*/") -> Family:
         if level:
             classify_types(level[0])
     return family
-
-
-def _record_row(entries: dict, entry1: AEntry, right_entries, rows, slots: list, swap: list,
-                fires: dict, joins: dict, counter) -> None:
-    """Record the rows of one left entry against a right set, each pair's
-    results in slots order, (op, whether reversed): store each new result
-    as itself with its (op, left, right) witness and its triple's number,
-    add op to the rules fired if it fires, and keep the least number of
-    the triples a result reaches."""
-    cls1 = entry1.cls
-    c1, e1, t1 = id(cls1), entry1.endop, cls1.typeclass == 1
-    for entry2, results in zip(right_entries, rows):
-        cls2 = entry2.cls
-        numbers = joins.get((c1, id(cls2)))
-        if numbers is None:
-            numbers = _pair_numbers(joins, c1, id(cls2), slots, swap, counter)
-        fired = fires[e1, t1, entry2.endop, cls2.typeclass == 1]
-        for (op, rev), form, number, fire in zip(slots, results, numbers, fired):
-            entry = entries.setdefault(form, form)
-            if entry is form:
-                form.op, form.endop, form.cls, form._witness = op, fire, number, None
-                if rev:
-                    form.left, form.right = entry2, entry1
-                else:
-                    form.left, form.right = entry1, entry2
-                continue
-            if fire and fire not in (entry.endop or ""):
-                entry.endop = (entry.endop or "") + fire
-            if number < entry.cls:
-                entry.cls = number
 
 
 def _pair_numbers(joins: dict, c1: int, c2: int, slots: list, swap: list, counter) -> list:

@@ -180,7 +180,7 @@ def suite_type2_pairing(seed, cases, family=None):
 def check_unit_forms(family):
     """Every stored form of a generated family has coefficients +-1, no
     monomial in both its numerator and denominator and a monic
-    denominator, and keeps the two invariants that let canon.combine_pair
+    denominator, and keeps the two invariants that let canon.pair_combiner
     flip a sign only for / and build the + and - numerators without a
     merge: its numerator and its denominator are antichains (no monomial
     contains another) and no numerator monomial lies inside a denominator

@@ -15,7 +15,7 @@ from arithex.canon import (
     assign_zero,
     atom,
     combine,
-    combine_row,
+    pair_combiner,
     eval_form,
     form_str,
     is_isomorphic,
@@ -36,6 +36,12 @@ F = Fraction
 
 def form(text: str) -> CanonForm:
     return to_canon(parse(text))
+
+
+def pair_forms(f: CanonForm, g: CanonForm, ops: tuple, table=None) -> list:
+    """The per-pair function's results as forms on the operands' variables."""
+    polys = pair_combiner(ops, table)(f, g)
+    return [CanonForm(num, den, f.varset | g.varset) for num, den in zip(polys[::2], polys[1::2])]
 
 
 def test_atom():
@@ -91,10 +97,10 @@ def test_negate():
 )
 @pytest.mark.parametrize("op", ["-", "/"])
 def test_swap_operands_matches_reversed_combine(op, f, g):
-    # combine_row gives g op f right after f op g, derived without a
+    # the per-pair function gives g op f right after f op g, derived without a
     # product, with a monic denominator: (x3-x1) / x2 swaps to -x2 over x1-x3
     f, g = form(f), form(g)
-    forward, swapped = next(combine_row(f, [g], (op,)))
+    forward, swapped = pair_forms(f, g, (op,))
     expected = combine(op, g, f)
     assert forward == combine(op, f, g)
     assert swapped == expected and swapped.varset == expected.varset
@@ -102,7 +108,7 @@ def test_swap_operands_matches_reversed_combine(op, f, g):
     # through one build table, the swapped form holds the table's copies
     table = PolyTable()
     f, g = (CanonForm(table.intern(h.num), table.intern(h.den), h.varset) for h in (f, g))
-    _, swapped = next(combine_row(f, [g], (op,), table=table))
+    _, swapped = pair_forms(f, g, (op,), table)
     assert swapped == expected and swapped.varset == expected.varset
     assert swapped.num is table.intern(swapped.num)
     assert swapped.den is table.intern(swapped.den)
@@ -113,9 +119,9 @@ def test_combine_pair_finds_stored_numerators_by_their_terms():
     x = {i: atom(i, table) for i in range(1, 5)}
     f = combine("-", x[1], x[2], table=table)  # x1 - x2
     g = combine("/", x[3], x[4], table=table)  # x3 / x4
-    first = next(combine_row(f, [g], OPS, table=table))
+    first = pair_forms(f, g, OPS, table)
     stored = dict(table.polys)
-    again = next(combine_row(f, [g], OPS, table=table))
+    again = pair_forms(f, g, OPS, table)
     # the second pass stores nothing new and returns the stored objects
     assert table.polys == stored
     for res, res_again in zip(first, again, strict=True):
@@ -134,6 +140,9 @@ def test_combine_pair_rejects_a_vanishing_numerator():
         combine("*", zero[1], atom(2))
     with pytest.raises(NonAEResult):  # an empty + numerator, found by its terms
         combine("+", zero[1], zero[2], table=PolyTable())
+    # dividing by a form whose numerator is zero: a vanishing denominator
+    with pytest.raises(NonAEResult, match="vanishing denominator"):
+        combine("/", atom(1), zero[2])
 
 
 def test_form_equality_is_by_value():
@@ -148,15 +157,18 @@ def test_form_equality_is_by_value():
     assert h == f and f == h and hash(h) == hash(f)
 
 
-def test_combine_row_reverses_only_minus_and_divide():
+def test_combine_pair_reverses_only_minus_and_divide():
     # + and * commute: each gives one result per pair, - and / two
     f, gs = form("x1-x2"), [form("x3"), form("x3/x4"), form("x4+x3*x5")]
-    rows = list(combine_row(f, gs, OPS))
+    rows = [pair_forms(f, g, OPS) for g in gs]
     assert [len(results) for results in rows] == [6, 6, 6]
+    assert [len(pair_combiner(OPS)(f, g)) for g in gs] == [12, 12, 12]
     for g, results in zip(gs, rows):
         assert results == [combine("+", f, g), combine("-", f, g), combine("-", g, f),
                            combine("*", f, g), combine("/", f, g), combine("/", g, f)]
-    assert list(combine_row(f, gs, ("*", "+"))) == [[combine("*", f, g), combine("+", f, g)] for g in gs]
+    # the results come in + - * / order, in whatever order ops names them
+    assert [pair_forms(f, g, ("*", "+")) for g in gs] == [
+        [combine("+", f, g), combine("*", f, g)] for g in gs]
 
 
 def test_is_monic_form_examples():

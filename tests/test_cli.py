@@ -414,7 +414,7 @@ def test_expression_beyond_the_term_bound_is_an_input_error(option, monkeypatch)
     big = "*".join(f"(x{2 * i + 1}+x{2 * i + 2})" for i in range(18))
     argv = {"--expr": "x1+x2", "--against": "x3*x4"}
     argv[option] = big
-    monkeypatch.setattr(canon, "combine_row", no_expansion)
+    monkeypatch.setattr(canon, "pair_combiner", no_expansion)
     with redirect_stderr(io.StringIO()) as err:
         code, out = run_cli("classify", "--expr", argv["--expr"], "--against", argv["--against"])
     assert code == 2 and out == ""

@@ -152,9 +152,10 @@ def _cross_multiplied(op, f, g):
 
 @pytest.mark.parametrize("ops", FRAGMENTS)
 def test_combine_pair_matches_combine(family4, ops):
-    # random left forms against random right sets on disjoint subsets; each
-    # pair's results come in the order of ops, given as generate gives it
-    # and reversed, each - and / result followed by its reversed one
+    # random left forms against random right forms on disjoint subsets;
+    # each pair's results come in + - * / order, whether ops is given as
+    # generate gives it or reversed, each - and / result followed by its
+    # reversed one
     rng = random.Random(ops)
     subsets = [s for s in family4.sets if len(s) < 4]
     table = PolyTable()
@@ -165,19 +166,23 @@ def test_combine_pair_matches_combine(family4, ops):
         pool = list(family4.sets[right].entries)
         gs = rng.sample(pool, min(3, len(pool)))
         order = tuple(ops) if i % 2 else tuple(reversed(ops))
-        rows = list(canon.combine_row(f, gs, order, table=table))
-        assert len(rows) == len(gs)
-        for g, results in zip(gs, rows):
-            expected = [(op, a, b) for op in order for a, b in ((f, g), (g, f))[:1 + (op in "-/")]]
-            assert len(results) == len(expected)
-            for res, (op, a, b) in zip(results, expected):
-                assert res == canon.combine(op, a, b) == _cross_multiplied(op, a, b)
+        combine_pair = canon.pair_combiner(order, table)
+        for g in gs:
+            polys = combine_pair(f, g)
+            expected = [(op, a, b) for op in ops for a, b in ((f, g), (g, f))[:1 + (op in "-/")]]
+            assert len(polys) == 2 * len(expected)
+            for num, den, (op, a, b) in zip(polys[::2], polys[1::2], expected):
+                res = canon.combine(op, a, b)
+                assert canon.CanonForm(num, den, left | right) == res == _cross_multiplied(op, a, b)
                 assert res.varset == left | right
 
 
 def test_combine_pair_rejects_what_combine_rejects():
+    # the per-pair function takes its operands' variable sets as disjoint,
+    # as the build gives them; combine checks them
+    assert len(canon.pair_combiner(("+", "*"))(canon.atom(1), canon.atom(2))) == 4
     with pytest.raises(canon.OverlappingVariables):
-        list(canon.combine_row(canon.atom(1), [canon.atom(2), canon.atom(1)], ("+", "*")))
+        canon.combine("+", canon.atom(1), canon.atom(1))
     with pytest.raises(ValueError, match="unknown operator '\\^'"):
         canon.combine("^", canon.atom(1), canon.atom(2))
 
@@ -186,7 +191,7 @@ def test_combine_pair_rejects_what_combine_rejects():
 def test_reversed_results_match_reversed_combine(family4, ops):
     # every operand pair the n = 4 build combines: after f - g and f / g
     # comes g - f and g / f, as combine gives them
-    table = PolyTable()
+    combine_pair = canon.pair_combiner(tuple(ops), PolyTable())
     slots = [op for op in ops for _ in range(1 + (op in "-/"))]
     for size in range(2, 5):
         for subset in combinations(range(1, 5), size):
@@ -196,7 +201,10 @@ def test_reversed_results_match_reversed_combine(family4, ops):
                 left = frozenset((first, *(v for i, v in enumerate(rest) if mask >> i & 1)))
                 gs = list(family4.sets[fs - left].entries)
                 for f in family4.sets[left].entries:
-                    for g, results in zip(gs, canon.combine_row(f, gs, tuple(ops), fs, table)):
+                    for g in gs:
+                        polys = combine_pair(f, g)
+                        results = [canon.CanonForm(num, den, fs)
+                                   for num, den in zip(polys[::2], polys[1::2])]
                         by_op = {op: [] for op in ops}
                         for op, res in zip(slots, results, strict=True):
                             by_op[op].append(res)
