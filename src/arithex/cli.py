@@ -347,8 +347,8 @@ def cmd_classify(args) -> int:
         relabeled = True
     endop = typeclass = None
     if n <= ORACLE_DEFAULT_MAX_N:
-        entry = oracle.generate(n).entry_of(work)
-        endop, typeclass = entry.endop, entry.cls.typeclass
+        cls = oracle.generate(n).entry_of(work).cls
+        endop, typeclass = cls.endop, cls.typeclass
     iso = None
     if other is not None:
         other_work = canon.relabel_contiguous(to_canon(other))

@@ -9,10 +9,9 @@ through one polynomial table for the whole build (see ``canon``) that is
 dropped when the build returns, and the same loop records each result it
 returns.  Each stored form is its own record, an ``AEntry``, whose
 operands are records; the build makes one record per stored form, none
-per repeated result.  The build also classifies by ending operator,
-firing the ending rules as it records each result, and finds and types
-every isomorphism class, as below; ``verify`` checks it all against the
-recurrence engine and the published values.
+per repeated result.  The build also finds every isomorphism class and
+gives it its type and ending operator, as below; ``verify`` checks it all
+against the recurrence engine and the published values.
 
 A build makes no reference cycles, so reference counting alone frees it;
 the CLI relies on that and runs every command with the cyclic garbage
@@ -47,18 +46,20 @@ reaches names its class, and by induction on the size each class is
 exactly an isomorphism class.  A form's type asks whether -f is stored
 and, if so, in f's class; negation commutes with relabeling, so
 isomorphic forms have one type, and ``classify_types`` reads it once per
-class, off one member on {1..k}.  The - rule reads its operands' types
-off their classes.  The build records each class's size, its members in
-each set of its size, and keys none.  Every reader groups a set by class
-first, which raises if a set holds fewer members of a class than its
-size: the set is not closed under relabeling.  A class is keyed, to the
-least serialization of its members, only where a key is read:
-``compute_orbits`` keys a level for ``--dump`` and ``verify``'s class
-listings, ``Family.class_key`` one class on its first hit;
-``classify_level`` keys nothing, and the counts, the category table and
-the other checks read no key.  Nothing is relabeled: ``canon.orbit``, a
-plain walk over all k! relabelings, serves only those listings at k <= 4
-and the tests' orbit check, which shares no theory with the build.
+class, off one member on {1..k}.  An ending rule reads a record's op and
+its operands' ending operators and types, so it fires once per triple, as
+the build numbers it; a class ends with the rules its triples fire.  The
+build records each class's size, its members in each set of its size, and
+keys none.  Every reader groups a set by class first, which raises if a
+set holds fewer members of a class than its size: the set is not closed
+under relabeling.  A class is keyed, to the least serialization of its
+members, only where a key is read: ``compute_orbits`` keys a level for
+``--dump`` and ``verify``'s class listings, ``Family.class_key`` one
+class on its first hit; ``classify_level`` keys nothing, and the counts,
+the category table and the other checks read no key.  Nothing is
+relabeled: ``canon.orbit``, a plain walk over all k! relabelings, serves
+only those listings at k <= 4 and the tests' orbit check, which shares no
+theory with the build.
 """
 
 from __future__ import annotations
@@ -112,12 +113,12 @@ class AEntry(CanonForm):
     pair into a spare AEntry, and records a new one by storing it and
     setting these slots on it.  It keeps the first way it arose,
     form = left op right, with left and right the stored records of their
-    sets; an atom has op, left and right None.  While its set is built, endop holds the ending
-    rules fired so far, and until its size is complete, cls holds the least
-    number of the triples it reaches (module docstring).  Its type is its
-    class's, ``cls.typeclass``."""
+    sets; an atom has op, left and right None.  Until its size is
+    complete, cls holds the least number of the triples it reaches (module
+    docstring).  Its type and ending operator are its class's,
+    ``cls.typeclass`` and ``cls.endop``."""
 
-    __slots__ = ("op", "left", "right", "endop", "cls", "_witness")
+    __slots__ = ("op", "left", "right", "cls", "_witness")
 
 
 @dataclass
@@ -194,12 +195,10 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     is complete, each least number becomes one unkeyed ``OrbitClass``, set
     on its entries and typed by ``classify_types``.
 
-    If ``check_classifiable`` passes the ops, each (op, left, right) fires
-    the rule of op when both operands' ending operators, final since their
-    sets are complete, are in ``_END_RULES[op]`` and, for -, the right
-    operand's class is first type (its negation is not in its set).  An
-    atom ends with *, and ``classify_endops`` closes each complete set.
-    Otherwise every endop stays None.
+    If ``check_classifiable`` passes the ops, the atoms' class ends with *,
+    each triple fires its op's rule as ``_pair_numbers`` numbers it, and
+    when a size is complete each class ends with the rules its triples
+    fired, which ``classify_endops`` checks.  Otherwise no rule fires.
     """
     if not 1 <= n <= MAX_N:
         raise LimitExceeded(f"n={n} outside 1..{MAX_N}")
@@ -216,19 +215,13 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     # each result is written into a spare record first: a new form keeps
     # it, and a repeat leaves it to the next result
     init, spare = CanonForm.__init__, object.__new__(AEntry)
+    # the class of every atom: without its ending operator, no rule fires
     classify = _classifiable(ops_t)
-    rules = {op: _END_RULES[op] for op in ops_t} if classify else {}
-    # fires[a, s, b, t]: per slot, op if its rule fires for operands ending
-    # with a and b, of first type iff s and t (- needs its right one so)
-    ends, bools = (None, *canon.OPS), (False, True)
-    fires = {(a, s, b, t): tuple(op if a in rules.get(op, ()) and b in rules[op]
-                                 and (op != "-" or (s if rev else t)) else None
-                                 for op, rev in slots)
-             for a in ends for b in ends for s in bools for t in bools}
-    atoms = OrbitClass(size=1, typeclass=1)  # the class of every atom
+    atoms = OrbitClass(size=1, typeclass=1, endop="*" if classify else None)
     for size in range(1, n + 1):
         joins: dict = {}  # (id of left class, id of right class) -> triple numbers by slot
         counter = count()  # numbers this size's triples
+        fired: list = []  # (op, a form reaching its triple) per triple firing op's rule
         level: list = []  # the entries of this size's sets
         for subset in combinations(range(1, n + 1), size):
             fs = frozenset(subset)
@@ -238,7 +231,7 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 a = canon.atom(subset[0], table)
                 entry = AEntry(a.num, a.den, a.varset)
                 entry.op = entry.left = entry.right = entry._witness = None
-                entry.endop, entry.cls = "*" if classify else None, atoms
+                entry.cls = atoms
                 entries[entry] = entry
                 continue
             level.append(entries)
@@ -247,36 +240,29 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 left = frozenset((first, *(v for i, v in enumerate(rest) if mask >> i & 1)))
                 right_entries = family.sets[fs - left].entries
                 for entry1 in family.sets[left].entries:
-                    cls1 = entry1.cls
-                    c1, e1, t1 = id(cls1), entry1.endop, cls1.typeclass == 1
+                    c1 = id(entry1.cls)
                     for entry2 in right_entries:
                         polys = combine_pair(entry1, entry2)
-                        cls2 = entry2.cls
-                        numbers = joins.get((c1, id(cls2)))
+                        numbers = joins.get((c1, id(entry2.cls)))
                         if numbers is None:
-                            numbers = _pair_numbers(joins, c1, id(cls2), slots, swap, counter)
-                        fired = fires[e1, t1, entry2.endop, cls2.typeclass == 1]
-                        # a new result is stored as itself with its witness,
-                        # the rule it fires and its triple's number; a repeat
-                        # adds the rule and keeps the least number
+                            numbers = _pair_numbers(joins, entry1.cls, entry2.cls, polys, fs,
+                                                    slots, swap, counter, fired)
+                        # a new result is stored as itself with its witness and
+                        # its triple's number; a repeat keeps the least number
                         for op, rev, i, j in record:
                             init(spare, polys[j], polys[j + 1], fs)
                             entry = entries.setdefault(spare, spare)
-                            fire, number = fired[i], numbers[i]
+                            number = numbers[i]
                             if entry is spare:
-                                entry.op, entry.endop, entry.cls, entry._witness = op, fire, number, None
+                                entry.op, entry.cls, entry._witness = op, number, None
                                 if rev:
                                     entry.left, entry.right = entry2, entry1
                                 else:
                                     entry.left, entry.right = entry1, entry2
                                 spare = object.__new__(AEntry)
                                 continue
-                            if fire and fire not in (entry.endop or ""):
-                                entry.endop = (entry.endop or "") + fire
                             if number < entry.cls:
                                 entry.cls = number
-            if classify:
-                classify_endops(entries)
         # each least triple number names one class; relabeling maps the sets
         # of a size onto each other, so each holds a class's members in
         # equal number
@@ -288,23 +274,37 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                 cls.size += 1
         for cls in classes.values():
             cls.size //= len(level)
+        # a class ends with the rules its triples fire
+        for op, form in fired:
+            cls = family.entry_of(form).cls
+            if op not in (cls.endop or ""):
+                cls.endop = (cls.endop or "") + op
         if level:
+            if classify:
+                classify_endops(level[0])
             classify_types(level[0])
     return family
 
 
-def _pair_numbers(joins: dict, c1: int, c2: int, slots: list, swap: list, counter) -> list:
-    """The numbers of the triples of operand classes c1 and c2, by slot:
-    the swapped pair's if it has them, else new ones, with f - g and g - f
-    of one class sharing one, and f / g and g / f."""
+def _pair_numbers(joins: dict, cls1: OrbitClass, cls2: OrbitClass, polys: tuple, fs: frozenset,
+                  slots: list, swap: list, counter, fired: list) -> list:
+    """The numbers of the triples of operand classes cls1 and cls2, by
+    slot: the swapped pair's if it has them, else new ones, with f - g and
+    g - f of one class sharing one, and f / g and g / f.  A new triple that
+    fires its op goes to fired with its result on fs, a form reaching it."""
+    c1, c2 = id(cls1), id(cls2)
     twin = joins.get((c2, c1))
     if twin is not None:
         numbers = [twin[j] for j in swap]
     else:
         numbers = []
-        for _, rev in slots:
+        for i, (op, rev) in enumerate(slots):
             if not (rev and c1 == c2):
                 number = next(counter)
+                a, b = (cls2, cls1) if rev else (cls1, cls2)
+                rule = _END_RULES[op]
+                if a.endop in rule and b.endop in rule and (op != "-" or b.typeclass == 1):
+                    fired.append((op, CanonForm(polys[2 * i], polys[2 * i + 1], fs)))
             numbers.append(number)
     joins[c1, c2] = numbers
     return numbers
@@ -324,14 +324,15 @@ def _ops_tuple(ops: str) -> tuple:
 @dataclass
 class OrbitClass:
     """An isomorphism class of one size of a build, shared by its entries.
-    The build sets its size and typeclass, grouping its rep, keying its
-    key and the rep realizing it.  The rep is a plain form: a record
+    The build sets its size, typeclass and endop, grouping its rep, keying
+    its key and the rep realizing it.  The rep is a plain form: a record
     points at its class, so it would make a reference cycle."""
 
     key: Optional[str] = None        # least serialization over the class = the orbit key
     rep: Optional[CanonForm] = None  # a member: the first grouped, once keyed the key's
     size: int = 0                    # identity-distinct members in each set of its size
     typeclass: Optional[int] = None  # the type of every member: 1, 2 or 3
+    endop: Optional[str] = None      # the ending operator of every member, None unclassified
 
 
 class Orbits:
@@ -415,12 +416,12 @@ def _classifiable(ops) -> bool:
 
 
 def classify_endops(entries: dict) -> None:
-    """Close a complete set of a classifying build: exactly one ending rule
-    must have fired for each entry, which leaves endop its ending operator.
-    Anything else is a hard failure of the classification laws and raises.
-    """
+    """Close a complete size of a classifying build by its set on {1..k}:
+    exactly one ending rule must have fired for each class, its endop.
+    Anything else is a hard failure of the classification laws and raises,
+    naming the set's first member whose class fails."""
     for form, entry in entries.items():
-        fired = entry.endop
+        fired = entry.cls.endop
         if fired is None:
             raise ClassificationEmpty(f"no ending rule fired for {form!r}")
         if len(fired) > 1:
@@ -447,19 +448,18 @@ def category_table(orbits: Orbits) -> dict:
     """The twelve per-operator, per-type class counts of a classified level."""
     cells = {op: {1: 0, 2: 0, 3: 0} for op in canon.OPS}
     for cls in orbits.classes:
-        cells[orbits.entries[cls.rep].endop][cls.typeclass] += 1
+        cells[cls.endop][cls.typeclass] += 1
     return cells
 
 
 def dump_lines(family: Family, orbits: Orbits) -> Iterator[dict]:
     """One JSON-ready record per class of a classified level, n its size."""
     for cls in orbits.classes:
-        entry = orbits.entries[cls.rep]
         yield {
             "n": len(cls.rep.varset),
             "class": cls.key,
             "witness": pretty(family.witness(cls.rep)),
-            "endop": entry.endop,
+            "endop": cls.endop,
             "type": cls.typeclass,
             "orbit_size": cls.size,
         }
@@ -609,10 +609,9 @@ def _check_type2_pairing(orbits: Orbits) -> bool:
 
 
 def _check_invariance(orbits: Orbits) -> bool:
-    """Ending operator and type must agree across each class: each entry,
-    typed by itself, has its rep's ending operator and its class's type."""
+    """Type must agree across each class: each entry, typed by itself, has
+    its class's type.  (Its ending operator is its class's own.)"""
     entries = orbits.entries
-    endops = {id(cls): entries[cls.rep].endop for cls in orbits.classes}
     # the entries share their numerators, so each distinct one is negated
     # once, through its terms: numerator -> the stored numerator equal to
     # its negation, or None
@@ -622,7 +621,7 @@ def _check_invariance(orbits: Orbits) -> bool:
     for entry in entries:
         cls, neg_num = entry.cls, negations[entry.num]
         neg = None if neg_num is None else entries.get(CanonForm(neg_num, entry.den, entry.varset))
-        if entry.endop != endops[id(cls)] or _type_rule(neg, cls) != cls.typeclass:
+        if _type_rule(neg, cls) != cls.typeclass:
             return False
     return True
 

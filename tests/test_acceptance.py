@@ -216,7 +216,7 @@ def test_criterion_08_ending_rule_partition(family5_data):
     classified = 0
     for aeset in family.sets.values():
         for entry in aeset.entries.values():
-            assert entry.endop in "+-*/"
+            assert entry.cls.endop in "+-*/"
             classified += 1
     _report(8, "ending-rule partition n<=5", f"{classified} expressions")
 

@@ -602,7 +602,7 @@ def test_classify_json_matches_full_pipeline():
         assert code == 0
         payload = json.loads(out)
         entry = aeset.entries[to_canon(parse(text))]
-        assert (payload["endop"], payload["type"]) == (entry.endop, entry.cls.typeclass)
+        assert (payload["endop"], payload["type"]) == (entry.cls.endop, entry.cls.typeclass)
         types.add(payload["type"])
     assert types == {1, 2, 3}
 

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import io
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -47,6 +49,12 @@ def family5():
 
 
 @pytest.fixture(scope="module")
+def reference5():
+    """The reference loop's sets for n = 5 and all four operators."""
+    return _reference_generate(5, "+-*/")
+
+
+@pytest.fixture(scope="module")
 def decomps4():
     """Every decomposition of every form on a subset of {1..4}, from the
     reference loop: form -> [(op, left, right), ...] in generation order."""
@@ -70,7 +78,7 @@ def search_type(f, entries):
 
 def endop_of(family, text):
     f = form(text)
-    return family.entry_of(f).endop
+    return family.entry_of(f).cls.endop
 
 
 def type_of(family, text):
@@ -332,8 +340,8 @@ def test_generate_matches_reference_loop(ops):
     assert _generated(generate(4, ops)) == _first_decomps(_reference_generate(4, ops))
 
 
-def test_generate_matches_reference_loop_n5(family5):
-    assert _generated(family5) == _first_decomps(_reference_generate(5, "+-*/"))
+def test_generate_matches_reference_loop_n5(family5, reference5):
+    assert _generated(family5) == _first_decomps(reference5)
     polys = [p for aeset in family5.sets.values() for f in aeset.entries for p in (f.num, f.den)]
     assert len(set(polys)) == len({id(p) for p in polys}) == 5843
 
@@ -369,15 +377,19 @@ def _built_endops(ops):
         family = generate(4, ops)
     except (oracle.ClassificationEmpty, oracle.ClassificationAmbiguous) as exc:
         return str(exc)
-    return {f: e.endop for aeset in family.sets.values() for f, e in aeset.entries.items()}
+    return _endops(family)
+
+
+def _endops(family):
+    return {f: e.cls.endop for aeset in family.sets.values() for f, e in aeset.entries.items()}
 
 
 @pytest.mark.parametrize("ops", CLASSIFIABLE)
 def test_endops_match_reference_rule_scan(ops, monkeypatch):
-    # the rules fire as each result is recorded, yet every entry gets the
-    # ending operator of a scan over all the decompositions it has; with a
-    # rule emptied or widened to every operator, the build fails on the
-    # form where the scan does, with its text
+    # the rules fire once per triple, on its operand classes, yet every
+    # entry gets the ending operator of a scan over all the decompositions
+    # it has; with a rule emptied or widened to every operator, the build
+    # fails on the form where the scan does, with its text
     reference = _reference_generate(4, ops)
     assert _built_endops(ops) == _scan_endops(reference, END_RULES)
     for op in ops:
@@ -388,6 +400,12 @@ def test_endops_match_reference_rule_scan(ops, monkeypatch):
                 assert _built_endops(ops) == expected, (op, rule)
 
 
+def test_endops_match_reference_rule_scan_n5(family5, reference5):
+    # each class fires the rules once per triple, yet at n = 5 every form's
+    # ending operator is still that of a scan over all its decompositions
+    assert _endops(family5) == _scan_endops(reference5, END_RULES)
+
+
 @pytest.mark.parametrize("ops", [ops for ops in FRAGMENTS if ops not in CLASSIFIABLE])
 def test_unclassifiable_fragments_leave_endop_unset(ops):
     with pytest.raises(oracle.UnsupportedOps):
@@ -396,7 +414,7 @@ def test_unclassifiable_fragments_leave_endop_unset(ops):
         oracle.summarize(4, ops)
     family = generate(4, ops)
     assert all(
-        entry.endop is None for aeset in family.sets.values() for entry in aeset.entries.values()
+        entry.cls.endop is None for aeset in family.sets.values() for entry in aeset.entries.values()
     )
 
 
@@ -504,21 +522,10 @@ def test_class_key_requires_closure():
         fam.class_key(rep)
 
 
-def test_invariance_check_detects_a_changed_member():
-    fam = generate(3)
-    aeset = fam.full_set(3)
-    orbits = compute_orbits(aeset, 3)
-    assert _check_invariance(orbits)
-    reps = {c.rep for c in orbits.classes}
-    entry = next(e for f, e in aeset.entries.items() if f not in reps)
-    entry.endop = next(op for op in "+-*/" if op != entry.endop)
-    assert not _check_invariance(orbits)
-
-
 def test_invariance_check_detects_a_member_of_another_type():
     # f and -f share a type-3 class; pointing -f at another class with its
-    # ending operator keeps every ending operator agreeing with its class's,
-    # but f, typed by itself, becomes type 2
+    # ending operator keeps -f's ending operator, but f, typed by itself,
+    # becomes type 2
     fam = generate(4)
     aeset = fam.full_set(4)
     orbits = compute_orbits(aeset, 4)
@@ -527,8 +534,8 @@ def test_invariance_check_detects_a_member_of_another_type():
     f = next(f for f, e in entries.items() if e.cls.typeclass == 3 and f != e.cls.rep)
     cls, neg = entries[f].cls, entries[canon.negate(f)]
     neg.cls = next(c for c in orbits.classes
-                   if c is not cls and entries[c.rep].endop == neg.endop)
-    assert all(e.endop == entries[e.cls.rep].endop for e in entries.values())
+                   if c is not cls and c.endop == neg.cls.endop)
+    assert neg.cls is not cls and neg.cls.endop == cls.endop
     assert _type_rule(neg, cls) == 2 and cls.typeclass == 3
     assert not _check_invariance(orbits)
 
@@ -589,7 +596,7 @@ def test_endop_base_cases(family4):
     assert endop_of(family4, "x1+x2") == "+"
     assert endop_of(family4, "x1-x2") == "-"
     assert endop_of(family4, "x1/x2") == "/"
-    assert family4.entry_of(canon.atom(3)).endop == "*"
+    assert family4.entry_of(canon.atom(3)).cls.endop == "*"
 
 
 def test_endop_examples_four_vars(family4):
@@ -606,7 +613,7 @@ def test_every_entry_has_unique_endop(family4):
     # generate's close step would have raised otherwise
     for aeset in family4.sets.values():
         for entry in aeset.entries.values():
-            assert entry.endop in "+-*/"
+            assert entry.cls.endop in "+-*/"
 
 
 def test_classify_type_examples(family4):
@@ -661,7 +668,7 @@ def test_sum_decomposition_flattening(family4, decomps4):
                 continue
             parts = []
             for side in (a, b):
-                side_end = family4.entry_of(side).endop
+                side_end = family4.entry_of(side).cls.endop
                 if side_end == "+":
                     parts.extend(summand_keys(side))
                 else:
@@ -676,7 +683,7 @@ def test_sum_decomposition_flattening(family4, decomps4):
     for k in (3, 4):
         aeset = family4.full_set(k)
         for form_, entry in aeset.entries.items():
-            if entry.endop == "+":
+            if entry.cls.endop == "+":
                 assert len(summand_keys(form_)) >= 2
 
 
@@ -691,7 +698,7 @@ def test_product_type_characterization(family4, decomps4):
             if op == "*":
                 out = []
                 for side in (a, b):
-                    if family4.entry_of(side).endop == "*" and len(side.varset) > 1:
+                    if family4.entry_of(side).cls.endop == "*" and len(side.varset) > 1:
                         out.extend(factors(side))
                     else:
                         out.append(side)
@@ -701,7 +708,7 @@ def test_product_type_characterization(family4, decomps4):
     aeset = family4.full_set(4)
     compute_orbits(aeset, 4)
     for form_, entry in aeset.entries.items():
-        if entry.endop != "*" or len(form_.varset) == 1:
+        if entry.cls.endop != "*" or len(form_.varset) == 1:
             continue
         fs = factors(form_)
         assert len(fs) >= 2
@@ -724,14 +731,14 @@ def test_quotient_type_characterization(family4, decomps4):
     compute_orbits(aeset, 4)
     checked = 0
     for form_, entry in aeset.entries.items():
-        if entry.endop != "/":
+        if entry.cls.endop != "/":
             continue
         canonical_splits = [
             (a, b)
             for op, a, b in decomps4[form_]
             if op == "/"
-            and family4.entry_of(a).endop in "+-*"
-            and family4.entry_of(b).endop in "+-*"
+            and family4.entry_of(a).cls.endop in "+-*"
+            and family4.entry_of(b).cls.endop in "+-*"
         ]
         assert canonical_splits, form_
         seen = set()
@@ -787,6 +794,38 @@ def test_classes_are_keyed_only_where_a_key_is_read(monkeypatch):
     keyed.clear()
     assert verify(4, "+*").ok
     assert keyed == [4] * len(reference.SERIES_PARALLEL_FOUR_VAR_CLASSES)
+
+
+# per classifiable fragment other than +-*/ (whose dump is the golden
+# oracle5_dump.jsonl): SHA-256 of summarize's n = 5 dump and of its
+# returned counts and table as JSON
+SUMMARIZE5_DIGESTS = {
+    "+": ("3198eabac38bea2e77846424ee409354512aad317762930c73827ca14ded2216",
+          "a778c1f82727939451737069753c366d051439f0eecb10661350fa80244c0bbb"),
+    "*": ("c34515c9c695b712e6e4fc6b5d93f7582a27a6b0984f35d516b947d113987671",
+          "15cb3090bef67f753052aa370a7c5b0dee0a03fc7debc85a3119f4bebf06f393"),
+    "+-": ("58090f2e04543ff95fc44773b38f7c9cb1041c554b7194d446259627fb32c5ee",
+           "456625bf49ee1e90dbe49093f306fc45ca68f8e6b757848f1b236cd037320ae9"),
+    "+*": ("14266def623740e657ca34a3af5136d980102a0b74380aa3d8ce40dc3794854e",
+           "cd6bd267d4f98f7eba784eb808a6c6227cf6066c806318f40e205bf6ad934f77"),
+    "*/": ("e737e5e2eb2e3344753df00e5911dc002d3590325d53f29b4792531d9db8e166",
+           "e1125c392e51d39128bf27303ae420a26aec5f2110a46bba28f69baaaa9d755c"),
+    "+-*": ("2d1c08aa5a8dc56d19f0065625a87ad2a0d30aed71d76f6a8194c0a49f95b03e",
+            "7bcf0dcc971f028a198276b4db1621c648e4629df79d93c6debfcf5b17f780a9"),
+    "+*/": ("7911569253ba8c40ff6facfa26c766eac93c1f9f561dd6b58d1f882e4af80917",
+            "3d16337f92002191c72f0781125add4b63ddcb7b225d902869499a45f1198c2d"),
+}
+
+
+@pytest.mark.parametrize("ops", sorted(SUMMARIZE5_DIGESTS, key=CLASSIFIABLE.index))
+def test_summarize5_digests(ops):
+    # every class key, witness, ending operator, type and orbit size of the
+    # fragment's n = 5 level, and its counts and category table
+    dump = io.StringIO()
+    summary = oracle.summarize(5, ops, dump)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (dump.getvalue(), json.dumps(summary)))
+    assert digests == SUMMARIZE5_DIGESTS[ops]
 
 
 def test_unkeyed_classification_requires_closure():
