@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n", type=int, required=True)
     p_oracle.add_argument("--ops", default="+-*/")
     p_oracle.add_argument(
-        "--deep", action="store_true", help=f"allow n = {oracle.MAX_N} (minutes)"
+        "--deep", action="store_true", help=f"allow n = {oracle.MAX_N} (seconds, about 0.26 GB)"
     )
     p_oracle.add_argument("--dump", metavar="FILE", help="write one JSON line per class")
     p_oracle.add_argument("--format", choices=("table", "json"), default="table")

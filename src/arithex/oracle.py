@@ -46,17 +46,17 @@ reaches names its class, and by induction on the size each class is
 exactly an isomorphism class.  A form's type asks whether -f is stored
 and, if so, in f's class; negation commutes with relabeling, so
 isomorphic forms have one type, and ``classify_types`` reads it once per
-class, off one member on {1..k}.  An ending rule reads a record's op and
-its operands' ending operators and types, so it fires once per triple, as
-the build numbers it; a class ends with the rules its triples fire.  The
-build records each class's size, its members in each set of its size, and
-keys none.  Every reader groups a set by class first, which raises if a
-set holds fewer members of a class than its size: the set is not closed
-under relabeling.  A class is keyed, to the least serialization of its
-members, only where a key is read: ``compute_orbits`` keys a level for
-``--dump`` and ``verify``'s class listings, ``Family.class_key`` one
-class on its first hit; ``classify_level`` keys nothing, and the counts,
-the category table and the other checks read no key.  Nothing is
+class, off its rep.  An ending rule reads a record's op and its operands'
+ending operators and types, so it fires once per triple, as the build
+numbers it; a class ends with the rules its triples fire.  The build makes
+each class at its first member on {1..k}, its rep, counts its members
+there, its size, and keys none; every other set of the size must hold
+each class in that number, or the set is not closed under relabeling and
+the build raises.  A class is keyed, to the least
+serialization of its members, only where a key is read: ``compute_orbits``
+keys a level for ``--dump`` and ``verify``'s class listings,
+``Family.class_key`` one class on its first hit; the counts, the category
+table and the other checks read ``Family.classes`` and no key.  Nothing is
 relabeled: ``canon.orbit``, a plain walk over all k! relabelings, serves
 only those listings at k <= 4 and the tests' orbit check, which shares no
 theory with the build.
@@ -66,8 +66,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, count
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from . import canon, counting, reference
@@ -131,10 +133,10 @@ class AESet:
 
 class Family:
     """Generated sets for every nonempty subset of {1..n}, whose records
-    link to their operands' records.
+    link to their operands' records, and the classes of each size.
 
     What solving against the family needs and no puzzle changes is kept on
-    it, filled on first use: witness trees, classes, and the solver's
+    it, filled on first use: witness trees, class keys, and the solver's
     witness programs.
     """
 
@@ -142,6 +144,7 @@ class Family:
         self.n = n
         self.ops = ops
         self.sets: dict = {}  # frozenset -> AESet
+        self.classes: dict = {}  # k -> the classes of size k, in order of first member on {1..k}
         self._programs: dict = {}  # k -> solver witness program over {1..k}
         self._members: dict = {}  # varset -> its entries by id of their class
 
@@ -192,8 +195,9 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     Each (op, left, right) reaches the triple of op and the operands'
     classes, final since their sizes are complete, and its result keeps the
     least number of the triples it reaches (module docstring); when a size
-    is complete, each least number becomes one unkeyed ``OrbitClass``, set
-    on its entries and typed by ``classify_types``.
+    is complete, one pass over its sets makes each least number one unkeyed
+    ``OrbitClass``, its first member on {1..k} its rep, checks each set's
+    closure and keeps the classes in that order as ``family.classes[k]``.
 
     If ``check_classifiable`` passes the ops, the atoms' class ends with *,
     each triple fires its op's rule as ``_pair_numbers`` numbers it, and
@@ -217,8 +221,16 @@ def generate(n: int, ops: str = "+-*/") -> Family:
     init, spare = CanonForm.__init__, object.__new__(AEntry)
     # the class of every atom: without its ending operator, no rule fires
     classify = _classifiable(ops_t)
-    atoms = OrbitClass(size=1, typeclass=1, endop="*" if classify else None)
-    for size in range(1, n + 1):
+    atoms = OrbitClass(rep=canon.atom(1, table), size=1, typeclass=1,
+                       endop="*" if classify else None)
+    for i in range(1, n + 1):
+        a = canon.atom(i, table)
+        entry = AEntry(a.num, a.den, a.varset)
+        entry.op = entry.left = entry.right = entry._witness = None
+        entry.cls = atoms
+        family.sets[a.varset] = AESet((i,), {entry: entry})
+    family.classes[1] = [atoms]
+    for size in range(2, n + 1):
         joins: dict = {}  # (id of left class, id of right class) -> triple numbers by slot
         counter = count()  # numbers this size's triples
         fired: list = []  # (op, a form reaching its triple) per triple firing op's rule
@@ -227,13 +239,6 @@ def generate(n: int, ops: str = "+-*/") -> Family:
             fs = frozenset(subset)
             entries: dict = {}
             family.sets[fs] = AESet(subset, entries)
-            if size == 1:
-                a = canon.atom(subset[0], table)
-                entry = AEntry(a.num, a.den, a.varset)
-                entry.op = entry.left = entry.right = entry._witness = None
-                entry.cls = atoms
-                entries[entry] = entry
-                continue
             level.append(entries)
             first, rest = subset[0], subset[1:]
             for mask in range(2 ** len(rest) - 1):
@@ -263,26 +268,32 @@ def generate(n: int, ops: str = "+-*/") -> Family:
                                 continue
                             if number < entry.cls:
                                 entry.cls = number
-        # each least triple number names one class; relabeling maps the sets
-        # of a size onto each other, so each holds a class's members in
-        # equal number
-        least = {entry.cls for entries in level for entry in entries}
-        classes = {number: OrbitClass() for number in least}
+        # each least triple number names one class, its rep its first member
+        # on {1..k}, the first set; relabeling maps the sets of a size onto
+        # each other, so each holds every class in the number {1..k} does
+        classes: dict = {}  # least triple number -> its class
         for entries in level:
+            counts = Counter(map(attrgetter("cls"), entries))  # least number -> members here
+            if classes and counts != sizes:
+                raise RuntimeError(
+                    f"set not closed under relabeling: {sorted(next(iter(entries)).varset)} "
+                    f"holds its classes in other numbers than {{1..{size}}}")
+            sizes = counts
             for entry in entries:
-                entry.cls = cls = classes[entry.cls]
-                cls.size += 1
-        for cls in classes.values():
-            cls.size //= len(level)
+                cls = classes.get(entry.cls)
+                if cls is None:
+                    rep = CanonForm(entry.num, entry.den, entry.varset)
+                    cls = classes[entry.cls] = OrbitClass(rep=rep, size=counts[entry.cls])
+                entry.cls = cls
+        family.classes[size] = list(classes.values())
         # a class ends with the rules its triples fire
         for op, form in fired:
             cls = family.entry_of(form).cls
             if op not in (cls.endop or ""):
                 cls.endop = (cls.endop or "") + op
-        if level:
-            if classify:
-                classify_endops(level[0])
-            classify_types(level[0])
+        if classify:
+            classify_endops(family.classes[size])
+        classify_types(family.classes[size], level[0])
     return family
 
 
@@ -324,12 +335,12 @@ def _ops_tuple(ops: str) -> tuple:
 @dataclass
 class OrbitClass:
     """An isomorphism class of one size of a build, shared by its entries.
-    The build sets its size, typeclass and endop, grouping its rep, keying
-    its key and the rep realizing it.  The rep is a plain form: a record
-    points at its class, so it would make a reference cycle."""
+    The build sets all but its key, keying its key and the rep realizing
+    it.  The rep is a plain form: a record points at its class, so it
+    would make a reference cycle."""
 
     key: Optional[str] = None        # least serialization over the class = the orbit key
-    rep: Optional[CanonForm] = None  # a member: the first grouped, once keyed the key's
+    rep: Optional[CanonForm] = None  # a member: the first on {1..k}, once keyed the key's
     size: int = 0                    # identity-distinct members in each set of its size
     typeclass: Optional[int] = None  # the type of every member: 1, 2 or 3
     endop: Optional[str] = None      # the ending operator of every member, None unclassified
@@ -354,8 +365,8 @@ class Orbits:
 
 def _grouped(entries: dict) -> dict:
     """A set's entries by class, id of the class -> its members, in order
-    of first member, which is the rep of a class not yet keyed.  A set that
-    lacks members the build counted is not closed under relabeling: raise."""
+    of first member.  A set that lacks members the build counted is not
+    closed under relabeling: raise."""
     members: dict = {}
     for entry in entries.values():
         members.setdefault(id(entry.cls), []).append(entry)
@@ -365,9 +376,6 @@ def _grouped(entries: dict) -> dict:
             raise RuntimeError(
                 f"set not closed under relabeling: {len(group)} of the "
                 f"{cls.size} members of a class are stored")
-        if cls.rep is None:
-            rep = group[0]
-            cls.rep = CanonForm(rep.num, rep.den, rep.varset)
     return members
 
 
@@ -378,11 +386,6 @@ def _record_class(members: list) -> OrbitClass:
     rep = min(members, key=canon.form_str)
     cls.key, cls.rep = canon.form_str(rep), CanonForm(rep.num, rep.den, rep.varset)
     return cls
-
-
-def classify_level(aeset: AESet) -> Orbits:
-    """The classes of a generated set, typed by the build and not keyed."""
-    return Orbits([group[0].cls for group in _grouped(aeset.entries).values()], aeset.entries)
 
 
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
@@ -415,26 +418,23 @@ def _classifiable(ops) -> bool:
     return ("-" not in ops or "+" in ops) and ("/" not in ops or "*" in ops)
 
 
-def classify_endops(entries: dict) -> None:
-    """Close a complete size of a classifying build by its set on {1..k}:
-    exactly one ending rule must have fired for each class, its endop.
-    Anything else is a hard failure of the classification laws and raises,
-    naming the set's first member whose class fails."""
-    for form, entry in entries.items():
-        fired = entry.cls.endop
-        if fired is None:
-            raise ClassificationEmpty(f"no ending rule fired for {form!r}")
-        if len(fired) > 1:
-            raise ClassificationAmbiguous(f"rules {sorted(fired)} all fired for {form!r}")
+def classify_endops(classes: list) -> None:
+    """Close a complete size of a classifying build by its classes: exactly
+    one ending rule must have fired for each, its endop.  Anything else is
+    a hard failure of the classification laws and raises, naming the rep of
+    the first class that fails, the first member of {1..k} whose class does."""
+    for cls in classes:
+        if cls.endop is None:
+            raise ClassificationEmpty(f"no ending rule fired for {cls.rep!r}")
+        if len(cls.endop) > 1:
+            raise ClassificationAmbiguous(f"rules {sorted(cls.endop)} all fired for {cls.rep!r}")
 
 
-def classify_types(entries: dict) -> None:
-    """Type every class of a complete set of a build by its first member:
-    negation commutes with relabeling, so isomorphic forms have one type."""
-    for form, entry in entries.items():
-        cls = entry.cls
-        if cls.typeclass is None:
-            cls.typeclass = _type_rule(entries.get(canon.negate(form)), cls)
+def classify_types(classes: list, entries: dict) -> None:
+    """Type each class of a complete size by its rep in entries, the set
+    {1..k}: negation commutes with relabeling, so isomorphic forms have one type."""
+    for cls in classes:
+        cls.typeclass = _type_rule(entries.get(canon.negate(cls.rep)), cls)
 
 
 def _type_rule(neg: Optional[AEntry], cls: OrbitClass) -> int:
@@ -468,16 +468,14 @@ def dump_lines(family: Family, orbits: Orbits) -> Iterator[dict]:
 def summarize(n: int, ops: str = "+-*/", dump=None) -> tuple:
     """Build and classify the level n: its ops in +-*/ order, identity
     count, class count and category table.  With a text file as dump, the
-    level is keyed instead and one JSON line per class (``dump_lines``) is
+    level is keyed too and one JSON line per class (``dump_lines``) is
     written to it."""
     check_classifiable(ops)
     family = generate(n, ops=ops)
     aeset = family.full_set()
-    if dump is None:
-        orbits = classify_level(aeset)
-    else:
-        orbits = compute_orbits(aeset, n)
-        for record in dump_lines(family, orbits):
+    orbits = Orbits(family.classes[n], aeset.entries)
+    if dump is not None:
+        for record in dump_lines(family, compute_orbits(aeset, n)):
             dump.write(json.dumps(record) + "\n")
     return "".join(family.ops), len(aeset.entries), len(orbits), category_table(orbits)
 
@@ -531,7 +529,7 @@ def verify(n_max: int, ops: str = "+-*/", seed: int = 0) -> VerifyReport:
 
     for k in range(1, n_max + 1):
         aeset = family.full_set(k)
-        orbits = classify_level(aeset)
+        orbits = Orbits(family.classes[k], aeset.entries)
         cells = category_table(orbits)
 
         if all_ops:

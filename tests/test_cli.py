@@ -447,7 +447,7 @@ def test_internal_failure_is_not_a_usage_error(exc, monkeypatch):
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(oracle, "classify_level", broken)
+    monkeypatch.setattr(oracle, "category_table", broken)
     with pytest.raises(type(exc)):
         main(["oracle", "--n", "2"])
 

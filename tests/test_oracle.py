@@ -459,12 +459,13 @@ def test_classes_are_orbits(ops, n, request):
 
 
 @pytest.mark.parametrize("ops, n", [("+-*/", 5)] + [(ops, 4) for ops in FRAGMENTS])
-def test_classes_reach_equal_or_disjoint_triples(ops, n, request):
+def test_classes_reach_equal_or_disjoint_triples(ops, n):
     # the lemma behind the build's classes: over every decomposition of
     # every form, the forms of one class reach one set of triples (op,
     # class of L, class of R), unordered for + and *, and forms of
-    # different classes disjoint sets
-    fam = request.getfixturevalue("family5") if n == 5 else generate(n, ops=ops)
+    # different classes disjoint sets; a fresh build, since keying a class
+    # moves its rep to the member realizing its key
+    fam = generate(n, ops=ops)
 
     def cls(f):
         return fam.entry_of(f).cls
@@ -483,8 +484,16 @@ def test_classes_reach_equal_or_disjoint_triples(ops, n, request):
             assert reached.setdefault(c, triples) == triples, f"{f!r} reaches other triples"
             for triple in triples:
                 assert owner.setdefault(triple, c) == c, f"{f!r} shares {triple}"
-    classes = [oracle.classify_level(fam.full_set(k)) for k in range(2, n + 1)]
-    assert len(reached) == sum(map(len, classes))
+    assert len(reached) == sum(len(fam.classes[k]) for k in range(2, n + 1))
+    # each size's classes are the grouping of {1..k}: in order of first
+    # member, that member the rep, the group's length the size
+    for k in range(1, n + 1):
+        groups: dict = {}
+        for entry in fam.full_set(k).entries:
+            groups.setdefault(id(entry.cls), []).append(entry)
+        assert [id(c) for c in fam.classes[k]] == list(groups)
+        for c, group in zip(fam.classes[k], groups.values()):
+            assert type(c.rep) is canon.CanonForm and c.rep == group[0] and c.size == len(group)
 
 
 def test_compute_orbits_requires_closure_of_twin_classes():
@@ -828,17 +837,30 @@ def test_summarize5_digests(ops):
     assert digests == SUMMARIZE5_DIGESTS[ops]
 
 
-def test_unkeyed_classification_requires_closure():
-    # classify_level checks closure as compute_orbits does, keying nothing;
-    # each class holds a member as its rep
-    aeset = generate(4).full_set(4)
-    orbits = oracle.classify_level(aeset)
-    assert len(orbits) == 93
-    assert all(c.key is None and aeset.entries[c.rep].cls is c for c in orbits.classes)
-    entries = dict(aeset.entries)
-    del entries[next(f for f, e in entries.items() if e.cls.size > 1)]
+def test_unkeyed_classification_requires_closure(monkeypatch):
+    # the build keeps each size's classes, keying none, each with a member
+    # as its rep, and checks every set's closure as it completes the size
+    family = generate(4)
+    entries = family.full_set(4).entries
+    assert len(family.classes[4]) == 93
+    assert all(c.key is None and entries[c.rep].cls is c for c in family.classes[4])
+    # a combiner that gives the pair (x2, x3) x2 + x3 in its x2 - x3 slot
+    # leaves {2, 3} one member short of the class of x1 - x2 and x2 - x1
+    real = canon.pair_combiner
+
+    def damaged(ops, table=None):
+        combine_pair = real(ops, table)
+
+        def combine(f, g):
+            polys = combine_pair(f, g)
+            if f.varset == {2} and g.varset == {3}:
+                polys = polys[:2] + polys[:2] + polys[4:]
+            return polys
+        return combine
+
+    monkeypatch.setattr(canon, "pair_combiner", damaged)
     with pytest.raises(RuntimeError, match="not closed under relabeling"):
-        oracle.classify_level(AESet(aeset.subset, entries))
+        generate(3)
 
 
 def test_witness_reconstruction(family4):
