@@ -37,21 +37,26 @@ forms found take the exact test.
 What depends only on the family is done once per family and kept on it.
 The first solve with n numbers compiles the witness trees of the forms on
 {1..n} into a program, ``Family._programs[n]``, by following each stored
-form's operand records: 6 595 steps and 294 groups in about 0.53 MB at
-n = 5, beside a family of about 7.5 MB, and 181 858 steps and 2 306
-groups in about 14.7 MB at n = 6, beside about 214 MB.
+form's operand records.  Its steps come subset by subset in generation
+order and, within a subset, by operator, so they fall into runs of one
+operator, ``_Program.runs``, and a puzzle evaluates each run in a loop of
+its own, with no test of the operator per step: 6 595 steps in 101 runs
+and 294 groups in about 0.60 MB at n = 5, beside a family of about
+7.5 MB, and 181 858 steps in 225 runs and 2 306 groups in about 16.8 MB
+at n = 6, beside about 214 MB.
 The first hit of a class records the class on every stored member, as
 ``oracle.compute_orbits`` does (``Family.class_key``): the build has
 already grouped the members, so this takes their least text and
 relabels nothing.  Recording all 500 classes at n = 5 adds about 0.8 MB,
 the level grouped by class, cached polynomial text and each class's rep.
-A puzzle then runs one loop over plain ints and one pass per subset
-looked up, and keeps only the set of the classes it has seen, by id:
+A puzzle then runs one loop per run over plain ints and one pass per
+subset looked up, and keeps only the set of the classes it has seen, by id:
 unless all witnesses are wanted, a hit of a class seen before is skipped
 before any keying or lookup by form.  The first puzzles on a family pay for this
 state: on a fresh n = 5 family with the program compiled, the
-projective puzzle 0, 1, 3, 10, 8 -> inf (251 classes) took 20-32 ms in
-process, 12-19 ms of it keying its classes (2-vCPU Xeon, Python 3.11).
+projective puzzle 0, 1, 3, 10, 8 -> inf (251 classes) took 19-39 ms in
+process, 14-30 ms of it keying its classes, after a compile of 12-26 ms
+(2-vCPU Xeon, Python 3.11, on a host whose speed swings about twofold).
 """
 
 from __future__ import annotations
@@ -59,8 +64,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, groupby, islice
 from math import gcd
+from operator import attrgetter
 from typing import Optional
 
 from . import oracle
@@ -124,21 +130,25 @@ class _Program:
     the last operation.
 
     Step i gives the (N, D) pair of one form of a proper subset of
-    {1..n}: op[i] is "x" for the atom x_left[i], else the operator applied
-    to the pairs of steps left[i] and right[i].  Steps come in generation
-    order: operands precede their uses, and the forms of one subset hold
-    consecutive steps.  The full-level forms, entries[k], are never
-    operands and take no step; each is held by the group of its first
-    decomposition.  A group (op, small_left, small, slots) is one
-    operator and one operand, small, the one with the lower step index, so
-    on the side with fewer forms.  ranges holds one (lo, hi, groups) per
-    subset that groups look up: its forms are steps lo..hi-1, and slots[j]
-    is the k of the member whose other operand is step lo + j, else -1.
-    At n = 1 the one form, x1, has no decomposition: it takes a step, and
-    a range with a group "x" of its own.
+    {1..n}: the atom x_left[i], or an operator applied to the pairs of
+    steps left[i] and right[i].  The forms of one subset hold consecutive
+    steps, the subsets in generation order, so operands precede their
+    uses; within a subset the steps are sorted by operator, a singleton's
+    one step being its atom.  runs holds (op, count) for each run of
+    consecutive steps with one operator, "x" for atoms, so a puzzle runs
+    one loop per run with no test of the operator per step.  The
+    full-level forms, entries[k], are never operands and take no step;
+    each is held by the group of its first decomposition.  A group (op,
+    small_left, small, slots) is one operator and one operand, small, the
+    one with the lower step index, so on the side with fewer forms.
+    ranges holds one (lo, hi, groups) per subset that groups look up: its
+    forms are steps lo..hi-1, and slots[j] is the k of the member whose
+    other operand is step lo + j, else -1.  At n = 1 the one form, x1,
+    has no decomposition: it takes a step, and a range with a group "x"
+    of its own.
     """
 
-    __slots__ = ("op", "left", "right", "ranges", "entries")
+    __slots__ = ("runs", "left", "right", "ranges", "entries")
 
     def __init__(self, family: oracle.Family, n: int):
         full = frozenset(range(1, n + 1))
@@ -147,13 +157,14 @@ class _Program:
         for varset, aeset in family.sets.items():
             if varset < full:
                 first[varset] = len(proper)
-                proper += aeset.entries.values()
+                # a singleton holds only its atom, whose op None is never compared
+                proper += sorted(aeset.entries.values(), key=attrgetter("op"))
         # keyed by identity: operands are stored records, all held by the family
         position = {id(entry): i for i, entry in enumerate(proper)}
         self.entries = list(family.sets[full].entries.values())
         ops: list = []
-        self.left = array("i")
-        self.right = array("i")
+        self.left: list = []
+        self.right: list = []
         for entry in proper:
             if entry.op:
                 ops.append(entry.op)
@@ -189,7 +200,7 @@ class _Program:
             self.left.append(1)
             self.right.append(0)
             self.ranges.append((0, 1, [("x", False, 0, array("i", [0]))]))
-        self.op = "".join(ops)
+        self.runs = [(op, len(list(run))) for op, run in groupby(ops)]
 
     def hits(self, numbers: tuple, target: ProjValue) -> list:
         """The full-level entries whose form takes the target at the point
@@ -197,48 +208,79 @@ class _Program:
         tp, tq = (1, 0) if target is INF else (target.numerator, target.denominator)
         Ns: list = []  # (N, D) of the steps
         Ds: list = []
-        keys: list = []  # the point key of each step
-        # operators in falling order of frequency
-        for op, a, b in zip(self.op, self.left, self.right):
+        keys: list = []  # the point key of each step: _point_key(N, D), inlined per operator
+        steps = zip(self.left, self.right)
+        for op, count in self.runs:
+            run = islice(steps, count)
             if op == "/":
-                N, D = Ns[a] * Ds[b], Ds[a] * Ns[b]
+                for a, b in run:
+                    N, D = Ns[a] * Ds[b], Ds[a] * Ns[b]
+                    Ns.append(N)
+                    Ds.append(D)
+                    try:
+                        keys.append(N / D if D else "inf")
+                    except OverflowError:
+                        keys.append(_point_key(N, D))
             elif op == "-":
-                N, D = Ns[a] * Ds[b] - Ds[a] * Ns[b], Ds[a] * Ds[b]
+                for a, b in run:
+                    N, D = Ns[a] * Ds[b] - Ds[a] * Ns[b], Ds[a] * Ds[b]
+                    Ns.append(N)
+                    Ds.append(D)
+                    try:
+                        keys.append(N / D if D else "inf")
+                    except OverflowError:
+                        keys.append(_point_key(N, D))
             elif op == "*":
-                N, D = Ns[a] * Ns[b], Ds[a] * Ds[b]
+                for a, b in run:
+                    N, D = Ns[a] * Ns[b], Ds[a] * Ds[b]
+                    Ns.append(N)
+                    Ds.append(D)
+                    try:
+                        keys.append(N / D if D else "inf")
+                    except OverflowError:
+                        keys.append(_point_key(N, D))
             elif op == "+":
-                N, D = Ns[a] * Ds[b] + Ds[a] * Ns[b], Ds[a] * Ds[b]
+                for a, b in run:
+                    N, D = Ns[a] * Ds[b] + Ds[a] * Ns[b], Ds[a] * Ds[b]
+                    Ns.append(N)
+                    Ds.append(D)
+                    try:
+                        keys.append(N / D if D else "inf")
+                    except OverflowError:
+                        keys.append(_point_key(N, D))
             else:
-                x = numbers[a - 1]
-                N, D = x.numerator, x.denominator
-            Ns.append(N)
-            Ds.append(D)
-            # _point_key(N, D), without a call per step
-            try:
-                keys.append(N / D if D else "inf")
-            except OverflowError:
-                keys.append(_point_key(N, D))
+                for a, _ in run:
+                    x = numbers[a - 1]
+                    Ns.append(x.numerator)
+                    Ds.append(x.denominator)
+                    keys.append(_point_key(x.numerator, x.denominator))
         found = []
         for lo, hi, groups in self.ranges:
             needs: dict = {}  # point key -> the tests of the groups that need it
             every: list = []  # the tests of the groups that take any point
             for op, small_left, s, slots in groups:
                 # a member's pair is linear in its other operand's (x, y):
-                # N = al*x + be*y, D = ga*x + de*y, (p, q) the small operand's
+                # N = al*x + be*y, D = ga*x + de*y, (p, q) the small operand's;
+                # a hit needs N*tq = D*tp, that is c1*x + c2*y = 0 with
+                # c1 = al*tq - ga*tp and c2 = be*tq - de*tp
                 p, q = Ns[s], Ds[s]
                 if op == "/":
-                    al, be, ga, de = (0, p, q, 0) if small_left else (q, 0, 0, p)
+                    if small_left:
+                        al, be, ga, de, c1, c2 = 0, p, q, 0, -q * tp, p * tq
+                    else:
+                        al, be, ga, de, c1, c2 = q, 0, 0, p, q * tq, -p * tp
                 elif op == "-":
-                    al, be, ga, de = (-q, p, 0, q) if small_left else (q, -p, 0, q)
+                    if small_left:
+                        al, be, ga, de, c1, c2 = -q, p, 0, q, -q * tq, p * tq - q * tp
+                    else:
+                        al, be, ga, de, c1, c2 = q, -p, 0, q, q * tq, -p * tq - q * tp
                 elif op == "*":
-                    al, be, ga, de = p, 0, 0, q
+                    al, be, ga, de, c1, c2 = p, 0, 0, q, p * tq, -q * tp
                 elif op == "+":
-                    al, be, ga, de = q, p, 0, q
+                    al, be, ga, de, c1, c2 = q, p, 0, q, q * tq, p * tq - q * tp
                 else:
-                    al, be, ga, de = 1, 0, 0, 1
-                # a hit needs N*tq = D*tp, that is c1*x + c2*y = 0: the other
-                # operand is the point -c2:c1, or anything if c1 = c2 = 0
-                c1, c2 = al * tq - ga * tp, be * tq - de * tp
+                    al, be, ga, de, c1, c2 = 1, 0, 0, 1, tq, -tp
+                # the other operand is the point -c2:c1, or anything if c1 = c2 = 0
                 test = (c1, c2, al, be, ga, de, slots)
                 if c1 or c2:
                     needs.setdefault(_point_key(-c2, c1), []).append(test)

@@ -8,7 +8,14 @@ import prop_suites
 from arithex import canon, oracle
 from arithex.exprtree import Node, Var, eval_tree, parse, pretty, to_canon
 from arithex.projrat import INF, UNDEFINED
-from arithex.solver import TooManyNumbers, _point_key, class_uniqueness, make_query, solve
+from arithex.solver import (
+    TooManyNumbers,
+    _point_key,
+    _Program,
+    class_uniqueness,
+    make_query,
+    solve,
+)
 
 F = Fraction
 
@@ -344,3 +351,44 @@ def test_lookup_matches_plain_scan(ops):
         assert count in (None, len(hits)), (numbers, target)
         sols = solve(make_query(numbers, target, want_all=True), family)
         assert [s.witness for s in sols] == [family.witness(f) for f in hits], (numbers, target)
+
+
+@pytest.mark.parametrize("ops,n", [("+-*/", n) for n in range(1, 6)] + [("+*", 4)])
+def test_program_runs_partition_steps_sorted_by_operator(ops, n):
+    # the steps come subset by subset in family order, each subset's sorted
+    # by operator, and the runs name the one operator of each stretch
+    family = oracle.generate(n, ops)
+    program = _Program(family, n)
+    full = frozenset(range(1, n + 1))
+    steps = len(program.left)
+    assert len(program.right) == steps
+    assert all(count > 0 for _, count in program.runs)
+    assert sum(count for _, count in program.runs) == steps
+    step_ops = "".join(op * count for op, count in program.runs)
+    assert set(step_ops) <= set(ops) | {"x"}
+    # the forms the steps compute, operands before their uses
+    forms = []
+    for i, (op, a, b) in enumerate(zip(step_ops, program.left, program.right)):
+        if op == "x":
+            forms.append(canon.atom(a))
+        else:
+            assert a < i and b < i
+            forms.append(canon.combine(op, forms[a], forms[b]))
+    spans = {}
+    lo = 0
+    for varset in [s for s in family.sets if s < full] or [full]:
+        entries = list(family.sets[varset].entries.values())
+        hi = lo + len(entries)
+        spans[lo] = hi
+        got = [family.sets[varset].entries[form] for form in forms[lo:hi]]
+        assert sorted(map(id, got)) == sorted(map(id, entries)), sorted(varset)
+        assert list(step_ops[lo:hi]) == sorted(step_ops[lo:hi]), sorted(varset)
+        for op in set(step_ops[lo:hi]):
+            ran = [e for e, step_op in zip(got, step_ops[lo:hi]) if step_op == op]
+            assert ran == [e for e in entries if (e.op or "x") == op], (sorted(varset), op)
+        lo = hi
+    assert lo == steps
+    assert program.ranges
+    for lo, hi, groups in program.ranges:
+        assert spans.get(lo) == hi
+        assert all(len(slots) == hi - lo for _, _, _, slots in groups)
