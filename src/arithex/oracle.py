@@ -52,14 +52,16 @@ numbers it; a class ends with the rules its triples fire.  The build makes
 each class at its first member on {1..k}, its rep, counts its members
 there, its size, and keys none; every other set of the size must hold
 each class in that number, or the set is not closed under relabeling and
-the build raises.  A class is keyed, to the least
-serialization of its members, only where a key is read: ``compute_orbits``
-keys a level for ``--dump`` and ``verify``'s class listings,
-``Family.class_key`` one class on its first hit; the counts, the category
-table and the other checks read ``Family.classes`` and no key.  Nothing is
-relabeled: ``canon.orbit``, a plain walk over all k! relabelings, serves
-only those listings at k <= 4 and the tests' orbit check, which shares no
-theory with the build.
+the build raises.  The build is the only writer of a rep.  A class is
+keyed, to the least serialization of its members, only where a key is
+read, and keying writes the key alone: ``dump_lines`` keys a level for
+``--dump`` and takes each record's witness from the member that realizes
+its key, ``compute_orbits`` keys one for ``verify``'s class listings, and
+``Family.class_key`` keys one class on the solver's first hit of it; the
+counts, the category table and the other checks read ``Family.classes``
+and no key.  Nothing is relabeled: ``canon.orbit``, a plain walk over all
+k! relabelings, serves only those listings at k <= 4 and the tests' orbit
+check, which shares no theory with the build.
 """
 
 from __future__ import annotations
@@ -153,12 +155,13 @@ class Family:
         return self.sets[frozenset(range(1, k + 1))]
 
     def entry_of(self, form: CanonForm) -> AEntry:
-        return self.sets[form.varset].entries[form]
+        """The record of a stored form, given as its record or as an equal form."""
+        return form if type(form) is AEntry else self.sets[form.varset].entries[form]
 
     def witness(self, form: CanonForm):
         """Expression tree of the first recorded construction of a stored
         form, given as its record or as an equal form."""
-        entry = form if type(form) is AEntry else self.entry_of(form)
+        entry = self.entry_of(form)
         if entry._witness is None:
             if entry.op is None:
                 entry._witness = Var(next(iter(form.varset)))
@@ -168,9 +171,10 @@ class Family:
         return entry._witness
 
     def class_key(self, form: CanonForm) -> str:
-        """Key of a stored form's class: the least serialization of its
-        members, on {1..k} the orbit key.  The first call for a class
-        records it on every stored member, so a class is keyed once."""
+        """Key of a stored form's class, given as its record or as an equal
+        form: the least serialization of its members, on {1..k} the orbit
+        key.  The first call for a class keys it from the form's set, whose
+        members are grouped once, so a class is keyed once."""
         entry = self.entry_of(form)
         if entry.cls.key is None:
             members = self._members.get(form.varset)
@@ -335,12 +339,12 @@ def _ops_tuple(ops: str) -> tuple:
 @dataclass
 class OrbitClass:
     """An isomorphism class of one size of a build, shared by its entries.
-    The build sets all but its key, keying its key and the rep realizing
-    it.  The rep is a plain form: a record points at its class, so it
-    would make a reference cycle."""
+    The build sets all but its key, and keying sets only the key.  The rep
+    is a plain form: a record points at its class, so it would make a
+    reference cycle."""
 
     key: Optional[str] = None        # least serialization over the class = the orbit key
-    rep: Optional[CanonForm] = None  # a member: the first on {1..k}, once keyed the key's
+    rep: Optional[CanonForm] = None  # a member: the first on {1..k}
     size: int = 0                    # identity-distinct members in each set of its size
     typeclass: Optional[int] = None  # the type of every member: 1, 2 or 3
     endop: Optional[str] = None      # the ending operator of every member, None unclassified
@@ -379,21 +383,25 @@ def _grouped(entries: dict) -> dict:
     return members
 
 
-def _record_class(members: list) -> OrbitClass:
-    """Key the class its member entries share: its least serialization."""
-    cls = members[0].cls
+def _record_class(members: list) -> AEntry:
+    """Key the class its member entries share, to its least serialization,
+    and return the member that realizes it."""
     # stored instances, whose shared polynomials cache their text
-    rep = min(members, key=canon.form_str)
-    cls.key, cls.rep = canon.form_str(rep), CanonForm(rep.num, rep.den, rep.varset)
-    return cls
+    least = min(members, key=canon.form_str)
+    least.cls.key = canon.form_str(least)
+    return least
+
+
+def _keyed(entries: dict) -> list:
+    """Key every class of a set afresh; the member of each that realizes
+    its key, in key order."""
+    return sorted(map(_record_class, _grouped(entries).values()), key=attrgetter("cls.key"))
 
 
 def compute_orbits(aeset: AESet, n: int) -> Orbits:
     """The classes of a generated set on {1..n}, each keyed afresh, sorted
     by key."""
-    classes = [_record_class(group) for group in _grouped(aeset.entries).values()]
-    classes.sort(key=lambda c: c.key)
-    return Orbits(classes, aeset.entries)
+    return Orbits([member.cls for member in _keyed(aeset.entries)], aeset.entries)
 
 
 # -- classification -----------------------------------------------------------
@@ -452,13 +460,17 @@ def category_table(orbits: Orbits) -> dict:
     return cells
 
 
-def dump_lines(family: Family, orbits: Orbits) -> Iterator[dict]:
-    """One JSON-ready record per class of a classified level, n its size."""
-    for cls in orbits.classes:
+def dump_lines(family: Family, aeset: AESet) -> Iterator[dict]:
+    """One JSON-ready record per class of a generated set on {1..k}, each
+    keyed afresh, in key order: its key, the witness and size n of the
+    member that realizes the key, and the class's ending operator, type
+    and orbit size."""
+    for member in _keyed(aeset.entries):
+        cls = member.cls
         yield {
-            "n": len(cls.rep.varset),
+            "n": len(member.varset),
             "class": cls.key,
-            "witness": pretty(family.witness(cls.rep)),
+            "witness": pretty(family.witness(member)),
             "endop": cls.endop,
             "type": cls.typeclass,
             "orbit_size": cls.size,
@@ -468,14 +480,14 @@ def dump_lines(family: Family, orbits: Orbits) -> Iterator[dict]:
 def summarize(n: int, ops: str = "+-*/", dump=None) -> tuple:
     """Build and classify the level n: its ops in +-*/ order, identity
     count, class count and category table.  With a text file as dump, the
-    level is keyed too and one JSON line per class (``dump_lines``) is
-    written to it."""
+    level is keyed too and one JSON line per class (``dump_lines``), in
+    key order, is written to it."""
     check_classifiable(ops)
     family = generate(n, ops=ops)
     aeset = family.full_set()
     orbits = Orbits(family.classes[n], aeset.entries)
     if dump is not None:
-        for record in dump_lines(family, compute_orbits(aeset, n)):
+        for record in dump_lines(family, aeset):
             dump.write(json.dumps(record) + "\n")
     return "".join(family.ops), len(aeset.entries), len(orbits), category_table(orbits)
 

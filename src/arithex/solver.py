@@ -44,11 +44,12 @@ its own, with no test of the operator per step: 6 595 steps in 101 runs
 and 294 groups in about 0.60 MB at n = 5, beside a family of about
 7.5 MB, and 181 858 steps in 225 runs and 2 306 groups in about 16.8 MB
 at n = 6, beside about 214 MB.
-The first hit of a class records the class on every stored member, as
-``oracle.compute_orbits`` does (``Family.class_key``): the build has
-already grouped the members, so this takes their least text and
-relabels nothing.  Recording all 500 classes at n = 5 adds about 0.8 MB,
-the level grouped by class, cached polynomial text and each class's rep.
+The first hit of a class keys it, as ``oracle.compute_orbits`` keys a
+level, and writes only its key (``Family.class_key``, called for every
+solution): the build has already classed the members, so this groups the
+set by class once, takes the least text of the class's members and
+relabels nothing.  Keying all 500 classes at n = 5 adds about 0.76 MB
+(by tracemalloc), the level grouped by class and cached polynomial text.
 A puzzle then runs one loop per run over plain ints and one pass per
 subset looked up, and keeps only the set of the classes it has seen, by id:
 unless all witnesses are wanted, a hit of a class seen before is skipped
@@ -348,7 +349,7 @@ def solve(query: PuzzleQuery, family: Optional[oracle.Family] = None) -> list:
                 witness=family.witness(entry),
                 assignment=assignment,
                 value=query.target,
-                class_key=cls.key if cls.key is not None else family.class_key(entry),
+                class_key=family.class_key(entry),
                 extension=False,
             )
         )

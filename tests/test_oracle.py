@@ -459,13 +459,12 @@ def test_classes_are_orbits(ops, n, request):
 
 
 @pytest.mark.parametrize("ops, n", [("+-*/", 5)] + [(ops, 4) for ops in FRAGMENTS])
-def test_classes_reach_equal_or_disjoint_triples(ops, n):
+def test_classes_reach_equal_or_disjoint_triples(ops, n, request):
     # the lemma behind the build's classes: over every decomposition of
     # every form, the forms of one class reach one set of triples (op,
     # class of L, class of R), unordered for + and *, and forms of
-    # different classes disjoint sets; a fresh build, since keying a class
-    # moves its rep to the member realizing its key
-    fam = generate(n, ops=ops)
+    # different classes disjoint sets
+    fam = request.getfixturevalue("family5") if n == 5 else generate(n, ops=ops)
 
     def cls(f):
         return fam.entry_of(f).cls
@@ -519,11 +518,10 @@ def test_compute_orbits_requires_closure(family4):
 
 
 def test_class_key_requires_closure():
-    # Family.class_key checks closure as compute_orbits does; the reps come
-    # from a separate family, since compute_orbits keys the family it runs on
+    # Family.class_key checks closure as compute_orbits does
     fam = generate(3)
     aeset = fam.full_set(3)
-    reps = {c.rep for c in compute_orbits(generate(3).full_set(3), 3).classes}
+    reps = {c.rep for c in fam.classes[3]}
     dropped = next(f for f in aeset.entries if f not in reps)
     rep = next(r for r in reps if dropped in canon.orbit(r))
     del aeset.entries[dropped]
@@ -770,8 +768,7 @@ def test_quotient_type_characterization(family4, decomps4):
 
 def test_dump_lines(family4):
     aeset = family4.full_set(3)
-    orbits = compute_orbits(aeset, 3)
-    lines = list(dump_lines(family4, orbits))
+    lines = list(dump_lines(family4, aeset))
     assert len(lines) == 18
     for rec in lines:
         assert rec["n"] == 3
@@ -779,6 +776,29 @@ def test_dump_lines(family4):
         assert rec["type"] in (1, 2, 3)
         assert to_canon(parse(rec["witness"])) in aeset.entries
     assert sum(rec["orbit_size"] for rec in lines) == 68
+
+
+def test_keying_leaves_each_rep_its_first_member(family5):
+    # keying writes only a class's key: after two solves, compute_orbits at
+    # every size and the dump have keyed every level, each rep is still the
+    # plain form equal to its first member on {1..k} that the build made,
+    # and each dump record's witness realizes its class key
+    for numbers, target in (([0, 1, 3, 10, 8], INF), ([1, 2, 3, 4], 24)):
+        assert solver.solve(solver.make_query(numbers, target), family5)
+    for k in range(1, 6):
+        compute_orbits(family5.full_set(k), k)
+    lines = list(dump_lines(family5, family5.full_set(5)))
+    for k in range(1, 6):
+        first = {}
+        for entry in family5.full_set(k).entries:
+            first.setdefault(id(entry.cls), entry)
+        assert len(first) == len(family5.classes[k])
+        for cls in family5.classes[k]:
+            assert cls.key is not None
+            assert type(cls.rep) is canon.CanonForm and cls.rep == first[id(cls)]
+    assert len(lines) == 500
+    for rec in lines:
+        assert canon.form_str(to_canon(parse(rec["witness"]))) == rec["class"]
 
 
 def test_classes_are_keyed_only_where_a_key_is_read(monkeypatch):
@@ -936,8 +956,8 @@ def test_build_leaves_no_cyclic_garbage():
             assert gc.collect() == 0, ops
         oracle.summarize(4)
         assert gc.collect() == 0
-        # keying sets each class's rep, which must not be a record: a record
-        # points at its class
+        # keying writes only each class's key: its rep stays the plain form
+        # the build made, since a record points at its class
         oracle.summarize(4, dump=io.StringIO())
         assert gc.collect() == 0
         assert verify(4).ok
